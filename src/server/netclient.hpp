@@ -74,7 +74,9 @@ class LineClient {
     const char* p = framed.data();
     std::size_t n = framed.size();
     while (n > 0) {
-      const ssize_t w = ::write(fd_, p, n);
+      // MSG_NOSIGNAL: a server that closed the connection is an error
+      // return here, not a SIGPIPE for the whole client process.
+      const ssize_t w = ::send(fd_, p, n, MSG_NOSIGNAL);
       if (w < 0) {
         if (errno == EINTR) continue;
         return false;

@@ -322,7 +322,7 @@ bool parse_autotune(const JsonValue& obj, AutotuneRequest& out, std::string* err
 
 }  // namespace
 
-std::optional<Request> parse_request(const std::string& line, std::string* error) {
+std::optional<Request> parse_request(std::string_view line, std::string* error) {
   const auto doc = JsonValue::parse(line, error);
   if (!doc) return std::nullopt;
   if (!doc->is_object()) {

@@ -124,7 +124,7 @@ struct Request {
 
 // Parses one request line.  On failure returns nullopt and fills `error`
 // with a message suitable for a bad_request response.
-std::optional<Request> parse_request(const std::string& line, std::string* error);
+std::optional<Request> parse_request(std::string_view line, std::string* error);
 
 // --- Response builders (serialization only; the service fills the data) ----
 

@@ -1,12 +1,13 @@
 #include "server/server.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <linux/sockios.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -16,9 +17,11 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <mutex>
 
 #include "obs/log.hpp"
 #include "obs/prometheus.hpp"
+#include "support/assert.hpp"
 #include "support/strings.hpp"
 
 namespace ilp::server {
@@ -34,11 +37,6 @@ std::uint64_t now_ns() {
           .count());
 }
 
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
 // Wire literals for segment-assembled replies.  Byte-for-byte the pieces
 // assemble_compile_response() glues around the shared CompileBody segments —
 // the transport-equivalence test pins the two paths together.
@@ -47,6 +45,20 @@ constexpr std::string_view kTrue = "true";
 constexpr std::string_view kFalse = "false";
 constexpr std::string_view kReqIdPrefix = ", \"request_id\": \"";
 constexpr std::string_view kSegTail = "\"}\n";
+
+// A connection this side ends (the drain, a broken line limit) is shut down
+// for writing once its replies are flushed and closed once the peer hangs
+// up: closing with the peer's bytes unread would reset the connection and
+// destroy replies the kernel has not transmitted yet.  A peer that takes
+// none of our output for this long is closed anyway, so no client can hold
+// a drain open.
+constexpr std::uint64_t kStallNs = 500'000'000;
+
+// Longest request line a connection may send.  A longer line — or that many
+// bytes without a newline — is answered `bad_request` and the connection
+// closes once the reply is flushed, so no peer can grow its input buffer
+// without bound.
+constexpr std::size_t kMaxLineBytes = 256 * 1024;
 
 // At most this many segments describe one reply on the wire.
 constexpr std::size_t kMaxSegments = 8;
@@ -74,23 +86,43 @@ std::size_t reply_wire_size(const Reply& r) {
 
 }  // namespace
 
-// Per-connection transport state; owned and touched by the IO thread only.
+// Per-connection transport state; owned and touched by its loop's thread only.
 struct Server::Conn {
   int fd = -1;
   std::uint64_t id = 0;
-  std::string inbuf;           // bytes read, tail may be a partial line
-  std::uint64_t next_seq = 0;  // arrival number of the next dispatched line
+  std::string inbuf;         // unconsumed bytes; the tail may be a partial line
+  std::size_t scanned = 0;   // inbuf[0, scanned) holds no newline
+  std::uint64_t next_seq = 0;  // arrival number of the next line
   std::uint64_t next_write = 0;  // seq whose reply is emitted next
-  std::uint64_t inflight = 0;    // dispatched lines without a reply yet
+  std::uint64_t inflight = 0;    // lines without a reply yet
   std::map<std::uint64_t, Reply> pending;  // out-of-order completions parked
   // Ordered outgoing replies.  front_off is how many bytes of the front
-  // reply a previous short writev already sent.
+  // reply a previous short write already sent; out_bytes is the queue's
+  // wire size.
   std::deque<Reply> outq;
   std::size_t front_off = 0;
+  std::size_t out_bytes = 0;
   bool want_write = false;  // EPOLLOUT currently armed
-  bool peer_closed = false;
-  bool reading = true;  // false once the drain begins
+  bool peer_eof = false;    // the peer hung up (or reading failed)
+  // Reading stopped at the output bound with input possibly still unread.
+  // The socket is edge-triggered, so no new EPOLLIN may come: every flush
+  // that brings out_bytes back under the bound resumes reading.
+  bool paused = false;
+  bool reading = true;  // false once the drain begins or the limit was broken
+  // Once reading stops the connection is ending; it is closed if the peer
+  // takes none of our output before stall_deadline_ns (stall_unsent: bytes
+  // it had not acknowledged at the last look).  lingering: every reply is
+  // flushed, our side is shut down for writing, and whatever the peer still
+  // sends is discarded until it hangs up.
+  bool lingering = false;
+  std::uint64_t stall_deadline_ns = 0;
+  int stall_unsent = 0;
 };
+
+Server::Loop::Loop(std::size_t completion_capacity)
+    : completions(completion_capacity) {}
+
+Server::Loop::~Loop() = default;
 
 Server::Server(Service& service, ServerConfig cfg)
     : service_(service), cfg_(std::move(cfg)) {}
@@ -99,16 +131,21 @@ Server::~Server() {
   request_stop();
   wait();
   service_.set_transport_metrics(nullptr);
-  for (const int fd : {stop_efd_, done_efd_, epoll_fd_})
+  for (auto& loop : loops_) {
+    for (const int fd : loop->inbox) ::close(fd);
+    for (const int fd : {loop->wake_efd, loop->epoll_fd})
+      if (fd >= 0) ::close(fd);
+  }
+  for (auto& lane : lanes_)
+    if (lane->efd >= 0) ::close(lane->efd);
+  for (const int fd : {stop_efd_, listen_fd_})
     if (fd >= 0) ::close(fd);
 }
 
 bool Server::start() {
   stop_efd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  done_efd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (stop_efd_ < 0 || done_efd_ < 0 || epoll_fd_ < 0) {
-    error_ = strformat("eventfd/epoll: %s", std::strerror(errno));
+  if (stop_efd_ < 0) {
+    error_ = strformat("eventfd: %s", std::strerror(errno));
     return false;
   }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -151,20 +188,38 @@ bool Server::start() {
     lanes_.push_back(std::move(lane));
   }
   // Outstanding replies are bounded by what the lanes can hold plus one
-  // executing request per shard, so a completion ring this size cannot fill
-  // while connections are alive; the producer still spins-and-wakes if it
-  // ever does (e.g. replies parked for a closed connection).
-  completions_ = std::make_unique<MpscRing<Completion>>(
-      shards * lanes_[0]->ring.capacity() + shards);
-
+  // executing request per shard.  One ring of that size (rounded up to a
+  // power of two) is split evenly across the loops, so adding loops adds no
+  // completion memory.  A loop never dispatches more requests than its share
+  // holds (route_line answers `overloaded` beyond it), so a worker's push
+  // always succeeds and never waits on a busy loop.
+  std::size_t total = 2;
+  while (total < shards * lanes_[0]->ring.capacity() + shards) total <<= 1;
+  std::size_t per_loop = 2;
+  while (per_loop * 2 <= total / shards) per_loop <<= 1;
+  loops_.reserve(shards);
+  for (std::size_t i = 0; i < shards; ++i) {
+    auto loop = std::make_unique<Loop>(per_loop);
+    loop->index = static_cast<std::uint32_t>(i);
+    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    loop->wake_efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (loop->epoll_fd < 0 || loop->wake_efd < 0) {
+      error_ = strformat("eventfd/epoll: %s", std::strerror(errno));
+      loops_.push_back(std::move(loop));  // the destructor closes its fds
+      return false;
+    }
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = 2;  // 2 = wake eventfd
+    ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_efd, &ev);
+    loops_.push_back(std::move(loop));
+  }
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = 0;  // 0 = listener
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
+  ::epoll_ctl(loops_[0]->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev);
   ev.data.u64 = 1;  // 1 = stop eventfd
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, stop_efd_, &ev);
-  ev.data.u64 = 2;  // 2 = completion eventfd
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, done_efd_, &ev);
+  ::epoll_ctl(loops_[0]->epoll_fd, EPOLL_CTL_ADD, stop_efd_, &ev);
 
   service_.set_transport_metrics(
       [this](std::string& out) { append_transport_metrics(out); });
@@ -172,11 +227,12 @@ bool Server::start() {
   obs::log_info("listener started",
                 {obs::field("host", cfg_.host), obs::field("port", port_),
                  obs::field("shards", static_cast<int>(shards)),
+                 obs::field("loops", static_cast<int>(loops_.size())),
                  obs::field("ring_capacity", lanes_[0]->ring.capacity())});
-  workers_live_.store(static_cast<int>(shards), std::memory_order_release);
   for (std::size_t i = 0; i < shards; ++i)
     lanes_[i]->thread = std::thread([this, i] { worker_loop(i); });
-  io_thread_ = std::thread([this] { io_loop(); });
+  for (auto& loop : loops_)
+    loop->thread = std::thread([this, l = loop.get()] { loop_run(*l); });
   return true;
 }
 
@@ -189,18 +245,14 @@ void Server::request_stop() {
   }
 }
 
+// Loop 0 joins every other thread before it returns.
 void Server::wait() {
-  if (io_thread_.joinable()) io_thread_.join();
+  if (!loops_.empty() && loops_[0]->thread.joinable()) loops_[0]->thread.join();
 }
 
-void Server::wake_io() {
+void Server::wake(int efd) {
   const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t r = ::write(done_efd_, &one, sizeof one);
-}
-
-void Server::wake_lane(Lane& lane) {
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t r = ::write(lane.efd, &one, sizeof one);
+  [[maybe_unused]] const ssize_t r = ::write(efd, &one, sizeof one);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,6 +264,7 @@ void Server::worker_loop(std::size_t shard) {
   for (;;) {
     if (lane.ring.try_pop(d)) {
       const std::uint64_t t = now_ns();
+      Loop& loop = *loops_[d.loop];
       Completion comp;
       comp.conn_id = d.conn_id;
       comp.seq = d.seq;
@@ -219,21 +272,19 @@ void Server::worker_loop(std::size_t shard) {
           service_.serve_parsed(std::move(d.parsed),
                                 t > d.enqueued_ns ? t - d.enqueued_ns : 0);
       d = Dispatch{};  // release request strings before parking
-      while (!completions_->try_push(std::move(comp))) {
-        // Only replies for closed connections can accumulate this far; the
-        // IO thread is the consumer, so wake it and retry.
-        wake_io();
-        std::this_thread::yield();
-      }
-      // Gated wakeup (store-buffer pattern): the IO thread sets io_parked_
-      // and re-checks the ring before sleeping, we publish and re-check the
+      // Cannot fail: a loop never has more requests outstanding than its
+      // completion ring holds (route_line answers `overloaded` first).
+      [[maybe_unused]] const bool pushed = loop.completions.try_push(comp);
+      ILP_ASSERT(pushed, "completion ring overflow");
+      // Gated wakeup (store-buffer pattern): the loop sets `parked` and
+      // re-checks its ring before sleeping, we publish and re-check the
       // flag.  Both sides fence, so at least one of them sees the other.
       std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (io_parked_.load(std::memory_order_relaxed)) wake_io();
+      if (loop.parked.load(std::memory_order_relaxed)) wake(loop.wake_efd);
       continue;
     }
     if (workers_stop_.load(std::memory_order_acquire)) break;
-    // Park until the IO thread pushes; the timeout bounds any lost wakeup.
+    // Park until a loop pushes; the timeout bounds any lost wakeup.
     lane.parked.store(true, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (lane.ring.empty_approx() &&
@@ -246,43 +297,47 @@ void Server::worker_loop(std::size_t shard) {
     }
     lane.parked.store(false, std::memory_order_relaxed);
   }
-  workers_live_.fetch_sub(1, std::memory_order_acq_rel);
-  // The IO thread may be parked on its own eventfd waiting for us to exit.
-  wake_io();
 }
 
 // ---------------------------------------------------------------------------
-// IO thread
+// Event loops
 
-void Server::io_loop() {
+void Server::loop_run(Loop& L) {
   epoll_event events[64];
   for (;;) {
-    drain_completions();
-
-    // Drain finished: every connection has been answered, flushed and
-    // closed.  Stop the workers, let them finish ring stragglers (replies
-    // for force-closed connections), then wait out the service.
-    if (stopping_.load(std::memory_order_acquire) && conns_.empty()) {
-      workers_stop_.store(true, std::memory_order_release);
-      for (auto& lane : lanes_) wake_lane(*lane);
-      while (workers_live_.load(std::memory_order_acquire) > 0) {
-        drain_completions();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    drain_completions(L);
+    expire_stalled(L);
+    reap(L);
+    // Read the stop flag before the inbox: every hand-off loop 0 made before
+    // it set the flag is then visible to adopt_inbox.
+    const bool stop = stopping_.load(std::memory_order_acquire);
+    adopt_inbox(L);
+    if (stop) {
+      if (!L.draining) begin_loop_drain(L);
+      if (L.conns.empty()) {
+        if (L.index != 0) {
+          // Nothing left to answer here; loop 0 finishes the drain.
+          L.retired.store(true, std::memory_order_release);
+          wake(loops_[0]->wake_efd);
+          return;
+        }
+        bool others_retired = true;
+        for (std::size_t i = 1; i < loops_.size(); ++i)
+          others_retired = others_retired &&
+                           loops_[i]->retired.load(std::memory_order_acquire);
+        if (others_retired) {
+          finish_drain();
+          return;
+        }
       }
-      for (auto& lane : lanes_)
-        if (lane->thread.joinable()) lane->thread.join();
-      drain_completions();
-      service_.wait_drained();
-      obs::log_info("drain complete");
-      return;
     }
 
-    io_parked_.store(true, std::memory_order_relaxed);
+    L.parked.store(true, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     int n = 0;
-    if (completions_->empty_approx())
-      n = ::epoll_wait(epoll_fd_, events, 64, cfg_.poll_interval_ms);
-    io_parked_.store(false, std::memory_order_relaxed);
+    if (L.completions.empty_approx())
+      n = ::epoll_wait(L.epoll_fd, events, 64, cfg_.poll_interval_ms);
+    L.parked.store(false, std::memory_order_relaxed);
     if (n < 0) {
       if (errno == EINTR) continue;
       obs::log_warn("epoll_wait failed",
@@ -293,62 +348,76 @@ void Server::io_loop() {
     for (int i = 0; i < n; ++i) {
       const std::uint64_t tag = events[i].data.u64;
       if (tag == 0) {
-        accept_ready();
+        accept_ready(L);
         continue;
       }
       if (tag == 1) {  // request_stop()
         std::uint64_t v = 0;
         [[maybe_unused]] const ssize_t r = ::read(stop_efd_, &v, sizeof v);
-        begin_drain_locked_io();
+        begin_drain();
         continue;
       }
-      if (tag == 2) {  // completions pending
+      if (tag == 2) {  // completions, hand-offs or the drain: all handled above
         std::uint64_t v = 0;
-        [[maybe_unused]] const ssize_t r = ::read(done_efd_, &v, sizeof v);
-        continue;  // drained at the top of the loop
+        [[maybe_unused]] const ssize_t r = ::read(L.wake_efd, &v, sizeof v);
+        continue;
       }
-      const auto it = conns_.find(tag);
-      if (it == conns_.end()) continue;  // closed earlier in this batch
+      const auto it = L.conns.find(tag);
+      if (it == L.conns.end() || it->second->fd < 0) continue;  // closed
       Conn& c = *it->second;
       if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0 && c.inflight == 0 &&
           c.outq.empty()) {
-        close_conn(c);
+        close_conn(L, c);
         continue;
       }
-      if ((events[i].events & EPOLLOUT) != 0 && !flush_conn(c)) {
-        close_conn(c);
-        continue;
-      }
-      if ((events[i].events & (EPOLLIN | EPOLLHUP)) != 0) read_ready(c);
+      conn_ready(L, c);
     }
-
     // Deferred erase: events later in a batch may still name a closed conn.
-    for (const std::uint64_t id : dead_conns_) conns_.erase(id);
-    dead_conns_.clear();
+    reap(L);
   }
 }
 
-void Server::begin_drain_locked_io() {
+// Loop 0, on request_stop(): no new connections, no new work admitted.
+void Server::begin_drain() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
   obs::log_info("listener closing; drain begins");
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+  ::epoll_ctl(loops_[0]->epoll_fd, EPOLL_CTL_DEL, listen_fd_, nullptr);
   ::close(listen_fd_);
   listen_fd_ = -1;
   service_.begin_drain();
-  // Every complete line already received is dispatched (the service answers
-  // `shutting_down` for work it no longer admits); reading stops, so partial
-  // lines never complete.  Idle connections close right here.
-  for (auto& [id, conn] : conns_) {
-    Conn& c = *conn;
-    c.reading = false;
-    dispatch_lines(c);
-    maybe_finish_conn(c);
-  }
-  for (const std::uint64_t id : dead_conns_) conns_.erase(id);
-  dead_conns_.clear();
+  for (std::size_t i = 1; i < loops_.size(); ++i) wake(loops_[i]->wake_efd);
 }
 
-void Server::accept_ready() {
+// Every complete line this loop already received is dispatched (the service
+// answers `shutting_down` for work it no longer admits); reading stops, so
+// partial lines never complete.  Idle connections start closing right here.
+void Server::begin_loop_drain(Loop& L) {
+  L.draining = true;
+  for (auto& [id, conn] : L.conns) {
+    Conn& c = *conn;
+    if (c.fd < 0) continue;
+    stop_reading(L, c);
+    dispatch_lines(L, c);
+    finish_io(L, c);
+  }
+  reap(L);
+}
+
+// Loop 0, once it and every other loop have retired: stop the shard workers
+// (they finish their ring stragglers — replies for force-closed connections
+// — first), join every thread, then wait out the service.
+void Server::finish_drain() {
+  workers_stop_.store(true, std::memory_order_release);
+  for (auto& lane : lanes_) wake(lane->efd);
+  for (auto& lane : lanes_)
+    if (lane->thread.joinable()) lane->thread.join();
+  for (std::size_t i = 1; i < loops_.size(); ++i)
+    if (loops_[i]->thread.joinable()) loops_[i]->thread.join();
+  service_.wait_drained();
+  obs::log_info("drain complete");
+}
+
+void Server::accept_ready(Loop& L0) {
   for (;;) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -361,109 +430,241 @@ void Server::accept_ready() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    conn->id = next_conn_id_++;
-    epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLET;
-    ev.data.u64 = conn->id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
+    Loop& target = *loops_[next_loop_++ % loops_.size()];
+    if (&target == &L0) {
+      adopt(L0, fd);
       continue;
     }
-    obs::log_debug("connection accepted", {obs::field("fd", fd)});
-    conns_.emplace(conn->id, std::move(conn));
+    {
+      std::lock_guard<std::mutex> lock(target.inbox_mu);
+      target.inbox.push_back(fd);
+    }
+    wake(target.wake_efd);
   }
 }
 
-void Server::read_ready(Conn& c) {
-  if (!c.reading) return;
+void Server::adopt_inbox(Loop& L) {
+  std::vector<int> fds;
+  {
+    std::lock_guard<std::mutex> lock(L.inbox_mu);
+    if (L.inbox.empty()) return;
+    fds.swap(L.inbox);
+  }
+  for (const int fd : fds) adopt(L, fd);
+}
+
+void Server::adopt(Loop& L, int fd) {
+  auto conn = std::make_unique<Conn>();
+  conn->fd = fd;
+  conn->id = L.next_conn_id++;
+  // A socket that is already readable reports EPOLLIN on registration, so
+  // bytes sent before the hand-off are not missed.
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLET;
+  ev.data.u64 = conn->id;
+  if (::epoll_ctl(L.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    ::close(fd);
+    return;
+  }
+  obs::log_debug("connection accepted",
+                 {obs::field("fd", fd),
+                  obs::field("loop", static_cast<int>(L.index))});
+  L.connections.fetch_add(1, std::memory_order_relaxed);
+  L.conns.emplace(conn->id, std::move(conn));
+}
+
+// Handles every readiness event of a connection: output first, since a peer
+// that reads its replies again is what lets a paused connection read more,
+// then input, then the flush and close checks.
+void Server::conn_ready(Loop& L, Conn& c) {
+  if (c.lingering) {
+    discard_input(L, c);
+    return;
+  }
+  if (!flush_conn(L, c)) {
+    close_conn(L, c);
+    return;
+  }
+  read_input(L, c);
+  finish_io(L, c);
+}
+
+// Reads and routes input until the socket is drained or the connection's
+// unsent replies reach the output bound; the latter leaves it paused.
+void Server::read_input(Loop& L, Conn& c) {
+  c.paused = false;
   char chunk[16384];
   for (;;) {
+    if (!c.reading) return;
+    if (c.out_bytes >= cfg_.max_queued_output) {
+      c.paused = true;
+      return;
+    }
     const ssize_t n = ::read(c.fd, chunk, sizeof chunk);
     if (n > 0) {
       c.inbuf.append(chunk, static_cast<std::size_t>(n));
+      // Consume per chunk, so the buffer never holds more than one
+      // over-long line's worth of bytes (dispatch_lines stops the reading
+      // when the limit is broken).
+      dispatch_lines(L, c);
       if (static_cast<std::size_t>(n) < sizeof chunk) break;  // drained
       continue;
     }
     if (n == 0) {
-      c.peer_closed = true;  // serve what arrived, close once flushed
+      c.peer_eof = true;  // serve what arrived, close once flushed
       break;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    c.peer_closed = true;
+    c.peer_eof = true;
     break;
   }
-  dispatch_lines(c);
-  maybe_finish_conn(c);
 }
 
-void Server::dispatch_lines(Conn& c) {
-  std::size_t nl;
-  while ((nl = c.inbuf.find('\n')) != std::string::npos) {
-    std::string line = c.inbuf.substr(0, nl);
-    c.inbuf.erase(0, nl + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-
-    Dispatch d;
-    d.conn_id = c.id;
-    d.seq = c.next_seq++;
-    d.parsed = service_.parse_and_route(line);
-    d.enqueued_ns = now_ns();
-    ++c.inflight;
-
-    Lane& lane = *lanes_[d.parsed.shard];
-    const std::string id_json =
-        d.parsed.req ? d.parsed.req->id_json : std::string("null");
-    if (!lane.ring.try_push(std::move(d))) {
-      // try_push leaves `d` intact on failure, but we only need its seq:
-      // the ring is this path's admission queue, so a full ring is the same
-      // explicit backpressure as a full service queue.
-      lane.drops.fetch_add(1, std::memory_order_relaxed);
-      Reply r;
-      r.flat = serialize_error(id_json, ErrorKind::Overloaded,
-                               "dispatch ring full; retry later");
-      r.flat += '\n';
-      on_reply(c, c.next_seq - 1, std::move(r));
-      continue;
+// Routes every complete line in the buffer, then compacts it once.  The scan
+// resumes where the previous one stopped, so a long line arriving in many
+// reads, or a burst of pipelined lines, costs time linear in its bytes.
+void Server::dispatch_lines(Loop& L, Conn& c) {
+  std::size_t consumed = 0;
+  bool too_long = false;
+  for (;;) {
+    const char* base = c.inbuf.data();
+    const void* hit =
+        std::memchr(base + c.scanned, '\n', c.inbuf.size() - c.scanned);
+    if (hit == nullptr) {
+      c.scanned = c.inbuf.size();
+      break;
     }
-    lane.dispatched.fetch_add(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (lane.parked.load(std::memory_order_relaxed)) wake_lane(lane);
+    const auto nl =
+        static_cast<std::size_t>(static_cast<const char*>(hit) - base);
+    std::string_view line(base + consumed, nl - consumed);
+    consumed = c.scanned = nl + 1;
+    if (line.size() > kMaxLineBytes) {
+      too_long = true;
+      break;
+    }
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (!line.empty()) route_line(L, c, line);
   }
+  if (too_long || (c.reading && c.inbuf.size() - consumed > kMaxLineBytes)) {
+    reject_long_line(L, c);
+    return;
+  }
+  c.inbuf.erase(0, consumed);
+  c.scanned -= consumed;
 }
 
-void Server::drain_completions() {
+void Server::route_line(Loop& L, Conn& c, std::string_view line) {
+  const std::uint64_t seq = c.next_seq++;
+  ++c.inflight;
+  Service::ParsedRequest parsed = service_.parse_and_route(line);
+  if (std::optional<Reply> hot = service_.try_serve_hot(parsed)) {
+    L.inline_replies.fetch_add(1, std::memory_order_relaxed);
+    on_reply(c, seq, std::move(*hot));
+    return;
+  }
+
+  Lane& lane = *lanes_[parsed.shard];
+  if (L.outstanding >= L.completions.capacity()) {
+    // Every slot of this loop's completion ring is spoken for: the same
+    // explicit backpressure as a full dispatch ring.
+    lane.drops.fetch_add(1, std::memory_order_relaxed);
+    Reply r;
+    r.flat = serialize_error(parsed.req ? parsed.req->id_json : "null",
+                             ErrorKind::Overloaded,
+                             "completion ring full; retry later");
+    on_reply(c, seq, std::move(r));
+    return;
+  }
+  Dispatch d;
+  d.loop = L.index;
+  d.conn_id = c.id;
+  d.seq = seq;
+  d.parsed = std::move(parsed);
+  d.enqueued_ns = now_ns();
+  if (!lane.ring.try_push(d)) {
+    // try_push leaves `d` intact on failure.  The ring is this path's
+    // admission queue, so a full ring is the same explicit backpressure as
+    // a full service queue.
+    lane.drops.fetch_add(1, std::memory_order_relaxed);
+    Reply r;
+    r.flat = serialize_error(d.parsed.req ? d.parsed.req->id_json : "null",
+                             ErrorKind::Overloaded,
+                             "dispatch ring full; retry later");
+    on_reply(c, seq, std::move(r));
+    return;
+  }
+  ++L.outstanding;
+  lane.dispatched.fetch_add(1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (lane.parked.load(std::memory_order_relaxed)) wake(lane.efd);
+}
+
+// The line-length limit: the offending line is answered `bad_request` in
+// order (through the service, so the request counters see it), nothing more
+// is read, and the connection closes once its replies are flushed.
+void Server::reject_long_line(Loop& L, Conn& c) {
+  Service::ParsedRequest p;
+  p.parse_error = strformat("request line exceeds %zu bytes", kMaxLineBytes);
+  const std::uint64_t seq = c.next_seq++;
+  ++c.inflight;
+  on_reply(c, seq, service_.serve_parsed(std::move(p)));
+  stop_reading(L, c);
+  std::string().swap(c.inbuf);
+  c.scanned = 0;
+}
+
+void Server::drain_completions(Loop& L) {
   Completion comp;
-  while (completions_->try_pop(comp)) {
-    const auto it = conns_.find(comp.conn_id);
-    if (it == conns_.end()) continue;  // connection died while we worked
+  while (L.completions.try_pop(comp)) {
+    --L.outstanding;
+    const auto it = L.conns.find(comp.conn_id);
+    if (it == L.conns.end() || it->second->fd < 0) continue;  // conn died
     Conn& c = *it->second;
     on_reply(c, comp.seq, std::move(comp.reply));
-    maybe_finish_conn(c);
+    finish_io(L, c);
   }
 }
 
-// Sequences one finished reply into the connection's ordered output and
-// flushes opportunistically.
+// Sequences one finished reply into the connection's ordered output; the
+// caller flushes.
 void Server::on_reply(Conn& c, std::uint64_t seq, Reply r) {
   --c.inflight;
   if (r.body == nullptr && (r.flat.empty() || r.flat.back() != '\n'))
     r.flat += '\n';
+  if (seq == c.next_write && c.pending.empty()) {  // in order: no parking
+    c.out_bytes += reply_wire_size(r);
+    c.outq.push_back(std::move(r));
+    ++c.next_write;
+    return;
+  }
   c.pending.emplace(seq, std::move(r));
   while (!c.pending.empty() && c.pending.begin()->first == c.next_write) {
+    c.out_bytes += reply_wire_size(c.pending.begin()->second);
     c.outq.push_back(std::move(c.pending.begin()->second));
     c.pending.erase(c.pending.begin());
     ++c.next_write;
   }
-  if (!flush_conn(c)) close_conn(c);
 }
 
-// Gathers as many queued replies as fit into one writev, straight from the
+void Server::finish_io(Loop& L, Conn& c) {
+  for (;;) {
+    if (!flush_conn(L, c)) {
+      close_conn(L, c);
+      return;
+    }
+    // A paused connection still at the bound has EPOLLOUT armed (the flush
+    // stopped short), and that event resumes it; below the bound it resumes
+    // here, since its peer may have nothing more to send.
+    if (!c.paused || c.out_bytes >= cfg_.max_queued_output) break;
+    read_input(L, c);
+  }
+  maybe_finish_conn(L, c);
+}
+
+// Gathers as many queued replies as fit into one sendmsg, straight from the
 // shared response segments.  Returns false if the connection broke.
-bool Server::flush_conn(Conn& c) {
+bool Server::flush_conn(Loop& L, Conn& c) {
   if (c.fd < 0) return false;
   while (!c.outq.empty()) {
     iovec iov[64];
@@ -487,7 +688,12 @@ bool Server::flush_conn(Conn& c) {
       if (iovs >= 64) break;
     }
     if (iovs == 0) return true;
-    const ssize_t w = ::writev(c.fd, iov, static_cast<int>(iovs));
+    // sendmsg rather than writev only for MSG_NOSIGNAL: a peer that reset
+    // the connection must cost an error return, not the process a SIGPIPE.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iovs;
+    const ssize_t w = ::sendmsg(c.fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -495,7 +701,7 @@ bool Server::flush_conn(Conn& c) {
           epoll_event ev{};
           ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
           ev.data.u64 = c.id;
-          ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
+          ::epoll_ctl(L.epoll_fd, EPOLL_CTL_MOD, c.fd, &ev);
           c.want_write = true;
         }
         return true;
@@ -511,35 +717,101 @@ bool Server::flush_conn(Conn& c) {
       const std::size_t sz = reply_wire_size(c.outq.front());
       if (advanced < sz) break;
       advanced -= sz;
+      c.out_bytes -= sz;
       c.outq.pop_front();
     }
     c.front_off = advanced;
+    if (!c.reading && w > 0) c.stall_deadline_ns = now_ns() + kStallNs;
   }
   if (c.want_write) {
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLET;
     ev.data.u64 = c.id;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
+    ::epoll_ctl(L.epoll_fd, EPOLL_CTL_MOD, c.fd, &ev);
     c.want_write = false;
   }
   return true;
 }
 
-void Server::close_conn(Conn& c) {
+void Server::close_conn(Loop& L, Conn& c) {
   if (c.fd < 0) return;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c.fd, nullptr);
+  ::epoll_ctl(L.epoll_fd, EPOLL_CTL_DEL, c.fd, nullptr);
   ::close(c.fd);
   c.fd = -1;
-  dead_conns_.push_back(c.id);
+  L.connections.fetch_sub(1, std::memory_order_relaxed);
+  L.dead_conns.push_back(c.id);
 }
 
-// Closes the connection once there is nothing left to do on it: no reply in
-// flight, everything flushed, and either the drain or the peer ended it.
-void Server::maybe_finish_conn(Conn& c) {
-  if (c.fd < 0) return;
+// Ends the connection once there is nothing left to do on it: no reply in
+// flight, everything flushed, and either the peer hung up or this side
+// stopped reading (the drain, or a broken line-length limit).
+void Server::maybe_finish_conn(Loop& L, Conn& c) {
+  if (c.fd < 0 || c.lingering) return;
   const bool quiesced = c.inflight == 0 && c.outq.empty() && c.pending.empty();
-  if (quiesced && (stopping_.load(std::memory_order_acquire) || c.peer_closed))
-    close_conn(c);
+  if (!quiesced || (c.reading && !c.peer_eof)) return;
+  if (c.peer_eof) {
+    close_conn(L, c);
+    return;
+  }
+  // Closing a socket with unread input — or one the peer still writes to —
+  // makes the kernel answer with a reset, which destroys replies still
+  // queued for transmission.  So shut down our side (the peer reads every
+  // reply, then EOF) and keep draining its input until it hangs up.
+  ::shutdown(c.fd, SHUT_WR);
+  c.lingering = true;
+  c.stall_deadline_ns = now_ns() + kStallNs;
+  discard_input(L, c);
+}
+
+// Reading stops for good (the drain, a broken line limit): from here on the
+// connection only finishes, and expire_stalled watches that it does.
+void Server::stop_reading(Loop& L, Conn& c) {
+  if (!c.reading) return;
+  c.reading = false;
+  c.stall_deadline_ns = now_ns() + kStallNs;
+  L.ending.push_back(c.id);
+}
+
+void Server::discard_input(Loop& L, Conn& c) {
+  char chunk[16384];
+  for (;;) {
+    const ssize_t n = ::read(c.fd, chunk, sizeof chunk);
+    if (n > 0) continue;
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    close_conn(L, c);  // the peer hung up (or the socket failed)
+    return;
+  }
+}
+
+// Closes ending connections whose peer has taken none of our output for
+// kStallNs.  A peer still reading its backlog keeps the connection (closing
+// would reset it and drop the replies still queued), and so does a reply
+// still being computed.
+void Server::expire_stalled(Loop& L) {
+  if (L.ending.empty()) return;
+  const std::uint64_t now = now_ns();
+  std::erase_if(L.ending, [&](std::uint64_t id) {
+    const auto it = L.conns.find(id);
+    if (it == L.conns.end() || it->second->fd < 0) return true;
+    Conn& c = *it->second;
+    const bool computing = c.outq.empty() && c.inflight > 0;
+    int unsent = 0;
+    if (computing || (::ioctl(c.fd, SIOCOUTQ, &unsent) == 0 && unsent > 0 &&
+                      unsent != c.stall_unsent)) {
+      c.stall_unsent = unsent;
+      c.stall_deadline_ns = now + kStallNs;
+      return false;
+    }
+    if (now < c.stall_deadline_ns) return false;
+    close_conn(L, c);
+    return true;
+  });
+}
+
+void Server::reap(Loop& L) {
+  for (const std::uint64_t id : L.dead_conns) L.conns.erase(id);
+  L.dead_conns.clear();
 }
 
 void Server::append_transport_metrics(std::string& out) const {
@@ -551,7 +823,7 @@ void Server::append_transport_metrics(std::string& out) const {
         static_cast<double>(lanes_[i]->ring.size_approx()));
   obs::prom::begin_counter_family(
       out, "server.shard_ring_drops",
-      "Lines answered `overloaded` because the dispatch ring was full");
+      "Lines answered `overloaded` because a dispatch or completion ring was full");
   for (std::size_t i = 0; i < lanes_.size(); ++i)
     obs::prom::append_counter_sample(
         out, "server.shard_ring_drops", "shard", std::to_string(i),
@@ -562,6 +834,20 @@ void Server::append_transport_metrics(std::string& out) const {
     obs::prom::append_counter_sample(
         out, "server.shard_dispatched", "shard", std::to_string(i),
         lanes_[i]->dispatched.load(std::memory_order_relaxed));
+  obs::prom::begin_gauge_family(out, "server.loop_connections",
+                                "Open connections owned by each event loop");
+  for (std::size_t i = 0; i < loops_.size(); ++i)
+    obs::prom::append_gauge_sample(
+        out, "server.loop_connections", "loop", std::to_string(i),
+        static_cast<double>(
+            loops_[i]->connections.load(std::memory_order_relaxed)));
+  obs::prom::begin_counter_family(
+      out, "server.loop_inline_replies",
+      "Hot-tier hits each event loop answered without a shard hop");
+  for (std::size_t i = 0; i < loops_.size(); ++i)
+    obs::prom::append_counter_sample(
+        out, "server.loop_inline_replies", "loop", std::to_string(i),
+        loops_[i]->inline_replies.load(std::memory_order_relaxed));
 }
 
 }  // namespace ilp::server

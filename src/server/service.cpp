@@ -617,7 +617,7 @@ void Service::settle_cells(std::size_t n) {
   }
 }
 
-Service::ParsedRequest Service::parse_and_route(const std::string& line) const {
+Service::ParsedRequest Service::parse_and_route(std::string_view line) const {
   ParsedRequest p;
   std::string error;
   p.req = parse_request(line, &error);
@@ -639,6 +639,63 @@ Service::ParsedRequest Service::parse_and_route(const std::string& line) const {
   p.has_key = true;
   p.shard = shard_index(p.cell_key);
   return p;
+}
+
+std::string Service::mint_request_id() {
+  return strformat("r-%" PRIu64,
+                   request_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+}
+
+// Pre-serialized bodies differ between profiled and unprofiled responses
+// (the "profile" field lives in the shared `post` segment), so the hot tier
+// keys the two shapes apart.  The cell key itself — coalescing, the result
+// cache, shard routing — is profile-blind: every executed cell carries its
+// summary and the flag only gates serialization.
+namespace {
+std::uint64_t hot_key_of(const Service::ParsedRequest& p) {
+  return p.req->compile.profile ? hot_profile_variant(p.cell_key) : p.cell_key;
+}
+}  // namespace
+
+std::shared_ptr<const CompileBody> Service::hot_lookup(
+    const ParsedRequest& p) const {
+  const Shard& sh = *shards_[p.shard];
+  std::lock_guard<std::mutex> lock(sh.mu);
+  const auto it = sh.hot.find(hot_key_of(p));
+  return it == sh.hot.end() ? nullptr : it->second;
+}
+
+Reply Service::hot_reply(const ParsedRequest& p,
+                         std::shared_ptr<const CompileBody> body,
+                         const std::string& request_id) {
+  bump(kHotHits);
+  bump(kOk);
+  Reply r;
+  r.body = std::move(body);
+  r.id_json = p.req->id_json;
+  r.cached = true;
+  r.request_id = request_id;
+  return r;
+}
+
+std::optional<Reply> Service::try_serve_hot(const ParsedRequest& p) {
+  // Only what serve_parsed would answer from the hot tier qualifies; traced
+  // compiles (even untraceable ones, which log a warning) and drains take
+  // the ordinary path.
+  if (!p.req || p.req->kind != RequestKind::Compile || !p.has_key ||
+      p.req->compile.trace || draining())
+    return std::nullopt;
+  std::shared_ptr<const CompileBody> body = hot_lookup(p);
+  if (body == nullptr) return std::nullopt;
+
+  bump(kReceived);
+  RequestObs ro(mint_request_id(), /*traced=*/false);
+  obs::RequestScope scope(&ro.ctx);
+  obs::log_debug("compile request");
+  queue_wait_hist_.record(0);  // answered where it was read: no ring wait
+  Reply r = hot_reply(p, std::move(body), ro.id);
+  latency_hist_.record(ro.wall.nanos());
+  return r;
 }
 
 Reply Service::serve(const std::string& line, std::uint64_t queued_ns) {
@@ -686,10 +743,7 @@ Reply Service::serve_parsed(ParsedRequest p, std::uint64_t queued_ns) {
           (req.kind == RequestKind::Compile && req.compile.trace) ||
           (req.kind == RequestKind::Autotune && req.autotune.trace);
       const bool traced = wants_trace && !cfg_.trace_dir.empty();
-      auto ro = std::make_shared<RequestObs>(
-          strformat("r-%" PRIu64,
-                    request_seq_.fetch_add(1, std::memory_order_relaxed) + 1),
-          traced);
+      auto ro = std::make_shared<RequestObs>(mint_request_id(), traced);
       if (wants_trace && !traced)
         obs::Logger::global().warn_rate_limited(
             "trace_untraceable", "trace requested but no --trace-dir configured");
@@ -756,10 +810,7 @@ std::string Service::handle_line(const std::string& line) {
           (req->kind == RequestKind::Compile && req->compile.trace) ||
           (req->kind == RequestKind::Autotune && req->autotune.trace);
       const bool traced = wants_trace && !cfg_.trace_dir.empty();
-      auto ro = std::make_shared<RequestObs>(
-          strformat("r-%" PRIu64,
-                    request_seq_.fetch_add(1, std::memory_order_relaxed) + 1),
-          traced);
+      auto ro = std::make_shared<RequestObs>(mint_request_id(), traced);
       if (wants_trace && !traced)
         obs::Logger::global().warn_rate_limited(
             "trace_untraceable", "trace requested but no --trace-dir configured");
@@ -991,25 +1042,13 @@ Reply Service::handle_compile_direct(const ParsedRequest& p,
         strformat("unknown workload '%s'", c.workload.c_str())));
   }
   const std::uint64_t key = p.cell_key;
-  // Pre-serialized bodies differ between profiled and unprofiled responses
-  // (the "profile" field lives in the shared `post` segment), so the hot
-  // tier keys the two shapes apart.  The cell key itself — coalescing, the
-  // result cache, shard routing — is profile-blind: every executed cell
-  // carries its summary and the flag only gates serialization.
-  const std::uint64_t hot_key = c.profile ? hot_profile_variant(key) : key;
+  const std::uint64_t hot_key = hot_key_of(p);
   Shard& sh = *shards_[p.shard];
   queue_wait_hist_.record(queued_ns);
 
   // Hot tier: the response segments for this cell were already built — the
   // reply is three pointer copies, serialized (or writev'd) at write time.
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.hot.find(hot_key);
-    if (it != sh.hot.end()) {
-      bump(kHotHits);
-      return segment_reply(it->second, /*cached=*/true);
-    }
-  }
+  if (auto body = hot_lookup(p)) return hot_reply(p, std::move(body), ro->id);
 
   // Result-cache tier (memory partition, then shared disk).  A decoded hit
   // is pre-serialized once and promoted into the hot tier.
@@ -1553,6 +1592,9 @@ std::string Service::stats_json() const {
       tsearch.mean() / 1e3, tsim.count, tsim.quantile(0.50) / 1e3,
       tsim.quantile(0.90) / 1e3, tsim.quantile(0.99) / 1e3,
       tsim.quantile(0.999) / 1e3, tsim.mean() / 1e3);
+  // The two means keep nanosecond digits: readers multiply them by the count
+  // to recover sums, and with hot hits answered on the event loops most
+  // queue waits are 0, so a mean rounded to 0.1 us would swamp the sum.
   return strformat(
       "{\"uptime_seconds\": %.3f, \"draining\": %s, \"workers\": %d, "
       "\"shards\": %d, "
@@ -1564,9 +1606,9 @@ std::string Service::stats_json() const {
       ", \"coalesced\": %" PRIu64 ", \"hot_hits\": %" PRIu64 "}, "
       "\"cells_executed\": %" PRIu64 ", "
       "\"latency_us\": {\"count\": %" PRIu64 ", \"p50\": %.1f, \"p90\": %.1f, "
-      "\"p99\": %.1f, \"p999\": %.1f, \"mean\": %.1f}, "
+      "\"p99\": %.1f, \"p999\": %.1f, \"mean\": %.3f}, "
       "\"queue_wait_us\": {\"count\": %" PRIu64 ", \"p50\": %.1f, \"p90\": %.1f, "
-      "\"p99\": %.1f, \"p999\": %.1f, \"mean\": %.1f}, "
+      "\"p99\": %.1f, \"p999\": %.1f, \"mean\": %.3f}, "
       "\"pool\": {\"jobs_executed\": %zu, \"queue_depth\": %zu, "
       "\"active_jobs\": %zu, \"peak_queue_depth\": %zu}, "
       "\"cache\": {\"hits\": %" PRIu64 ", \"disk_hits\": %" PRIu64

@@ -55,8 +55,9 @@
 //     exposition carries them as sim_stall_slots_total{cause=...} and
 //     sim_issue_occupancy_total{slots=...}.
 //
-// The service is transport-agnostic and fully thread-safe; server.cpp feeds
-// it lines from its shard workers via serve(), tests call handle_line
+// The service is transport-agnostic and fully thread-safe; server.cpp answers
+// hot-tier hits on its event loops via try_serve_hot() and feeds every other
+// line to its shard workers via serve_parsed(); tests call handle_line
 // directly.  Both paths produce byte-identical response lines for the same
 // request sequence (pinned by tests/server/epoll_transport_test.cpp).
 #pragma once
@@ -70,6 +71,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -138,12 +140,13 @@ class Service {
 
   // Transport entry, split in two so each half runs on the right thread.
   //
-  // parse_and_route runs on the IO thread: it parses the line once, resolves
-  // the compile source and computes the cell's content hash, whose shard
-  // index tells the transport which dispatch ring the line belongs to
-  // (identical cells always route to the same shard, so coalescing and cache
-  // hits stay shard-local).  Unroutable lines (parse errors, stats, batch,
-  // unknown workloads) get shard 0 — any shard answers them correctly.
+  // parse_and_route runs on the event loop that read the line: it parses the
+  // line once, resolves the compile source and computes the cell's content
+  // hash, whose shard index tells the transport which dispatch ring the line
+  // belongs to (identical cells always route to the same shard, so
+  // coalescing and cache hits stay shard-local).  Unroutable lines (parse
+  // errors, stats, batch, unknown workloads) get shard 0 — any shard answers
+  // them correctly.
   //
   // serve_parsed runs on the shard worker: identical protocol behavior to
   // handle_line, but compile cells execute inline on the calling thread (the
@@ -159,8 +162,16 @@ class Service {
     bool has_key = false;
     std::size_t shard = 0;
   };
-  [[nodiscard]] ParsedRequest parse_and_route(const std::string& line) const;
+  [[nodiscard]] ParsedRequest parse_and_route(std::string_view line) const;
   Reply serve_parsed(ParsedRequest p, std::uint64_t queued_ns = 0);
+  // The event loop's inline fast path.  An untraced compile whose response
+  // segments sit in the hot tier is answered right here, on the calling
+  // thread, with exactly the bookkeeping and bytes serve_parsed would give it
+  // (counters, a fresh r-<n> id, latency + zero queue-wait samples, the
+  // request scope).  Anything else — a miss, batch, autotune, a traced
+  // compile, an error, a drain — returns nullopt with no side effect at all,
+  // and the caller routes the request to its shard as usual.
+  [[nodiscard]] std::optional<Reply> try_serve_hot(const ParsedRequest& p);
   // Both halves in one call (tests and single-threaded callers).
   Reply serve(const std::string& line, std::uint64_t queued_ns = 0);
 
@@ -241,6 +252,14 @@ class Service {
   // Bounded-insert into the shard's hot tier (clears wholesale when full).
   void hot_insert(Shard& sh, std::uint64_t key,
                   std::shared_ptr<const CompileBody> body);
+  // The hot-tier hit path, shared by try_serve_hot and handle_compile_direct:
+  // hot_lookup finds the request's pre-serialized segments (no side effect),
+  // hot_reply books the hit and wraps them for `request_id`.
+  [[nodiscard]] std::shared_ptr<const CompileBody> hot_lookup(
+      const ParsedRequest& p) const;
+  Reply hot_reply(const ParsedRequest& p, std::shared_ptr<const CompileBody> body,
+                  const std::string& request_id);
+  std::string mint_request_id();
 
   // Bounded admission: reserves `n` cells or fails without blocking.
   bool try_admit(std::size_t n);

@@ -103,19 +103,22 @@ struct Options {
 };
 
 // One closed-loop connection: send, wait for the reply, repeat.
+// Connection w of n walks its own stride of the corpus (w, w+n, w+2n, ...),
+// so one pass sends every request once: with --no-warmup and a corpus larger
+// than the run, every request is a cache miss.
 void run_worker(const Options& opt, const std::vector<CorpusRequest>& requests,
-                Clock::time_point deadline, int worker_id, LatencySinks* lat,
-                WorkerResult* out) {
+                Clock::time_point deadline, int worker_id, int connections,
+                LatencySinks* lat, WorkerResult* out) {
   ilp::server::LineClient client;
   if (!client.connect(opt.host, opt.port)) {
     out->errors = 1;
     out->first_error = "connect failed";
     return;
   }
-  std::size_t next = static_cast<std::size_t>(worker_id);  // stagger the corpus walk
+  std::size_t next = static_cast<std::size_t>(worker_id);
   while (Clock::now() < deadline) {
     const CorpusRequest& req = requests[next % requests.size()];
-    ++next;
+    next += static_cast<std::size_t>(connections);
     const auto t0 = Clock::now();
     if (!client.send_line(req.line)) {
       ++out->errors;
@@ -242,7 +245,8 @@ std::string run_point(const Options& opt,
   threads.reserve(results.size());
   for (int w = 0; w < connections; ++w)
     threads.emplace_back(run_worker, std::cref(opt), std::cref(requests),
-                         deadline, w, &lat, &results[static_cast<std::size_t>(w)]);
+                         deadline, w, connections, &lat,
+                         &results[static_cast<std::size_t>(w)]);
   for (std::thread& t : threads) t.join();
   const double elapsed_s =
       std::chrono::duration<double>(Clock::now() - start).count();

@@ -1,6 +1,7 @@
 // End-to-end observability through the service layer: the `metrics` verb,
 // per-request trace files, transformation counters in responses, and the
-// latency histograms backing stats_json — all via handle_line, no sockets.
+// latency histograms backing stats_json — via handle_line — plus the epoll
+// transport's per-loop and per-shard families over real sockets.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,10 +11,13 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/fixtures.hpp"
 #include "obs/prom_lint.hpp"
 #include "server/json.hpp"
+#include "server/netclient.hpp"
+#include "server/server.hpp"
 #include "server/service.hpp"
 #include "support/strings.hpp"
 
@@ -245,6 +249,74 @@ TEST(Observability, CachedRepeatStillGetsFreshRequestIdAndTransforms) {
             first.find("transforms")->find("loops_unrolled")->as_int());
   EXPECT_NE(first.find("request_id")->as_string(),
             second.find("request_id")->as_string());
+}
+
+// The value of one labeled sample in an exposition, or -1 if absent.
+double sample_value(const std::string& exposition, const std::string& series) {
+  const std::string head = series + " ";
+  std::size_t pos = 0;
+  while ((pos = exposition.find(head, pos)) != std::string::npos) {
+    if (pos == 0 || exposition[pos - 1] == '\n')
+      return std::strtod(exposition.c_str() + pos + head.size(), nullptr);
+    pos += head.size();
+  }
+  return -1.0;
+}
+
+// Per-loop transport families: server_loop_connections counts each loop's
+// open connections (round-robin hand-off puts two on each of two loops) and
+// server_loop_inline_replies counts the hot hits each loop answered itself —
+// which never touch a shard ring, so server_shard_dispatched stands still.
+TEST(Observability, LoopFamiliesCountConnectionsAndInlineReplies) {
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  Service service(cfg);
+  Server server(service);
+  ASSERT_TRUE(server.start()) << server.error();
+
+  std::vector<LineClient> clients(4);
+  for (auto& c : clients) ASSERT_TRUE(c.connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(clients[0].send_line(compile_line(90)));  // cold: one ring trip
+  ASSERT_TRUE(clients[0].recv_line().has_value());
+
+  auto scrape = [&] {
+    LineClient m;
+    EXPECT_TRUE(m.connect("127.0.0.1", server.port()));
+    EXPECT_TRUE(m.send_line(R"({"kind": "metrics"})"));
+    return parse_ok(m.recv_line().value_or("")).find("exposition")->as_string();
+  };
+  auto dispatched = [](const std::string& e) {
+    return sample_value(e, "server_shard_dispatched{shard=\"0\"}") +
+           sample_value(e, "server_shard_dispatched{shard=\"1\"}");
+  };
+  auto inline_replies = [](const std::string& e, int loop) {
+    return sample_value(
+        e, strformat("server_loop_inline_replies{loop=\"%d\"}", loop));
+  };
+  const std::string before = scrape();
+  EXPECT_TRUE(ilp::testing::lint_prometheus(before).empty());
+  // The scrape's own connection is the fifth: loop 0 holds it, too.
+  EXPECT_EQ(sample_value(before, "server_loop_connections{loop=\"0\"}"), 3.0)
+      << before;
+  EXPECT_EQ(sample_value(before, "server_loop_connections{loop=\"1\"}"), 2.0)
+      << before;
+
+  constexpr int kHitsPerConn = 5;
+  for (auto& c : clients)
+    for (int i = 0; i < kHitsPerConn; ++i) {
+      ASSERT_TRUE(c.send_line(compile_line(90)));
+      const auto v = parse_ok(c.recv_line().value_or(""));
+      EXPECT_TRUE(v.find("cached")->as_bool());
+    }
+
+  const std::string after = scrape();
+  // The only new ring trip is the second scrape's own metrics line.
+  EXPECT_EQ(dispatched(after), dispatched(before) + 1)
+      << "hot hits must not ride the shard rings";
+  for (int loop = 0; loop < 2; ++loop)
+    EXPECT_EQ(inline_replies(after, loop) - inline_replies(before, loop),
+              2.0 * kHitsPerConn)
+        << after;
 }
 
 }  // namespace
