@@ -7,6 +7,14 @@ namespace ilp::dsl {
 
 namespace {
 
+// Expressions deeper than this are a parse error.  Depth counts each '(',
+// unary '-', max/min and subscript level parse_factor recurses into, and each
+// operator of a +/- or */% chain (a left-deep tree that later passes walk
+// recursively).  Without a bound, 50k '(' recurse the parser off the stack
+// and a 20k-term sum crashes the compiler behind it.  Real kernels stay
+// within a handful of levels.
+constexpr int kMaxExprDepth = 256;
+
 class Parser {
  public:
   Parser(std::vector<Token> toks, DiagnosticEngine& diags)
@@ -256,10 +264,22 @@ class Parser {
     return s;
   }
 
+  // One more level of expression depth, or a diagnostic at the bound.
+  bool deepen() {
+    if (expr_depth_ == kMaxExprDepth) {
+      error(strformat("expression nested deeper than %d levels", kMaxExprDepth));
+      return false;
+    }
+    ++expr_depth_;
+    return true;
+  }
+
   ExprPtr parse_expr() {
+    const int depth = expr_depth_;
     ExprPtr lhs = parse_term();
     if (!lhs) return nullptr;
     while (cur().kind == Tok::Plus || cur().kind == Tok::Minus) {
+      if (!deepen()) return nullptr;
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::Binary;
       e->loc = cur().loc;
@@ -270,14 +290,17 @@ class Parser {
       if (!e->rhs) return nullptr;
       lhs = std::move(e);
     }
+    expr_depth_ = depth;
     return lhs;
   }
 
   ExprPtr parse_term() {
+    const int depth = expr_depth_;
     ExprPtr lhs = parse_factor();
     if (!lhs) return nullptr;
     while (cur().kind == Tok::Star || cur().kind == Tok::Slash ||
            cur().kind == Tok::Percent) {
+      if (!deepen()) return nullptr;
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::Binary;
       e->loc = cur().loc;
@@ -290,10 +313,18 @@ class Parser {
       if (!e->rhs) return nullptr;
       lhs = std::move(e);
     }
+    expr_depth_ = depth;
     return lhs;
   }
 
   ExprPtr parse_factor() {
+    if (!deepen()) return nullptr;
+    ExprPtr e = parse_primary();
+    --expr_depth_;
+    return e;
+  }
+
+  ExprPtr parse_primary() {
     const SourceLoc loc = cur().loc;
     switch (cur().kind) {
       case Tok::IntLit: {
@@ -372,6 +403,7 @@ class Parser {
   std::vector<Token> toks_;
   DiagnosticEngine* diags_;
   std::size_t idx_ = 0;
+  int expr_depth_ = 0;  // see kMaxExprDepth
 };
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Request-scoped context: a request id plus an optional trace sink, carried
 // in a thread-local and re-established on whichever thread does the work.
 //
-// The service mints a RequestContext per wire request in handle_line and
-// installs it with a RequestScope; the engine job that executes the request's
-// cell captures the context by shared_ptr and installs its own RequestScope
-// on the worker thread, so everything downstream — log lines, trace spans,
-// pass instrumentation — sees the same request id without any plumbing
-// through the compile pipeline's signatures.
+// The service mints a RequestContext per wire request (try_serve_hot or
+// serve_parsed) and installs it with a RequestScope on the thread that runs
+// the request's cell;
+// pool jobs that fan out for the request (autotune candidates) install their
+// own RequestScope over the same context, so everything downstream — log
+// lines, trace spans, pass instrumentation — sees the same request id without
+// any plumbing through the compile pipeline's signatures.
 //
 // TraceSink is the abstract span consumer implemented by engine::TraceRecorder
 // (obs cannot depend on engine; engine links obs for the histograms).  A null

@@ -16,6 +16,11 @@ const JsonValue* JsonValue::find(std::string_view name) const {
   return nullptr;
 }
 
+// Arrays and objects nested deeper than this are a parse error.  Protocol
+// requests nest a few levels; the bound keeps a line of 50k '[' (well under
+// the transport's line limit) from recursing the parser off the stack.
+constexpr int kMaxJsonDepth = 64;
+
 // Not in an anonymous namespace: JsonValue's friend declaration names
 // ilp::server::Parser.
 class Parser {
@@ -69,9 +74,15 @@ class Parser {
   }
 
   bool value(JsonValue& out) {
-    switch (peek()) {
-      case '{': return object(out);
-      case '[': return array(out);
+    switch (const int c = peek()) {
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth) return fail("nesting too deep");
+        ++depth_;
+        const bool ok = c == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         out.kind_ = JsonValue::Kind::String;
         return string(out.str_);
@@ -239,6 +250,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays and objects around pos_
   std::string err_;
 };
 

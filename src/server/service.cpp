@@ -34,21 +34,19 @@ struct Service::CellOutcome {
   CompileResponse resp;
 };
 
+// One coalescing entry: the executing request's future, which every joiner
+// of the same cell waits on.
 struct Service::Inflight {
   std::shared_future<CellOutcome> future;
-  // Cancellation hook for pool-executed cells; null when the cell runs
-  // inline on a shard worker (an inline cell has started by definition, and
-  // running cells are never interrupted).
-  std::shared_ptr<engine::JobGroup> group;
-  std::atomic<int> waiters{1};
 };
 
-// Per-request observability state, shared between the handler thread and the
-// pool job (the job can outlive the handler when a deadline fires, so this
-// is reference-counted, and the trace recorder lives here).
+// Per-request observability state: the minted id, the wall clock behind the
+// latency histogram and, when the request is traced, the trace recorder.  It
+// lives on the handling thread's stack; autotune's candidate jobs borrow it
+// and are all joined before the handler returns.
 struct Service::RequestObs {
   std::string id;
-  engine::Stopwatch wall;  // started at handle_line entry
+  engine::Stopwatch wall;  // started when the service takes the request
   std::shared_ptr<engine::TraceRecorder> recorder;  // null unless traced
   obs::RequestContext ctx;
 
@@ -184,12 +182,25 @@ std::uint64_t cell_key(const std::string& source, OptLevel level,
                           debug_sleep_ms);
 }
 
-// Deadline-aware sleep used by debug_sleep_ms: wakes early on cancellation
-// so drains and deadline tests settle promptly.
-void interruptible_sleep(std::int64_t ms, const engine::JobGroup& group) {
-  const auto until = Clock::now() + std::chrono::milliseconds(ms);
-  while (Clock::now() < until && !group.cancel_requested())
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+// Closes a traced request: records its `request` span explicitly (rather
+// than via SpanScope, so it lands before the file is written) and writes the
+// Chrome trace to <trace_dir>/req-<id>.json.  Returns the path, or "" when
+// the write failed.
+std::string write_request_trace(const std::string& trace_dir,
+                                Service::RequestObs& ro) {
+  ro.recorder->record_span("request", "server", 0, ro.recorder->now_us(), ro.id);
+  const std::string path =
+      (std::filesystem::path(trace_dir) / ("req-" + ro.id + ".json")).string();
+  std::error_code ec;
+  std::filesystem::create_directories(trace_dir, ec);
+  if (!ro.recorder->write_chrome_trace(path)) {
+    obs::log_warn("failed to write request trace", {obs::field("path", path)});
+    return {};
+  }
+  obs::log_info("request trace written",
+                {obs::field("path", path),
+                 obs::field("spans", ro.recorder->event_count())});
+  return path;
 }
 
 // Content hash of one autotune search: source + every search knob, salted in
@@ -206,6 +217,13 @@ std::uint64_t tune_request_key(const std::string& source, const AutotuneRequest&
   h.u64(frac_bits);
   h.boolean(a.cost_model);
   return h.digest();
+}
+
+// A reply whose whole line is already built (stats, errors, batch, autotune).
+Reply flat(std::string line) {
+  Reply r;
+  r.flat = std::move(line);
+  return r;
 }
 
 // Cache payload prefix for whole autotune results: the stored body is the
@@ -363,6 +381,40 @@ Service::CellOutcome Service::compute_cell(
   return out;
 }
 
+// The result-cache read every cell path shares: a payload that does not
+// decode is invalidated and reads as a miss; a hit comes back marked cached.
+bool Service::cached_cell(std::uint64_t key, CellOutcome& out) {
+  engine::ResultCache& cache = cache_for(key);
+  if (auto payload = cache.lookup(key)) {
+    if (decode_cell(*payload, out)) {
+      out.resp.cached = true;
+      return true;
+    }
+    cache.invalidate(key);
+  }
+  return false;
+}
+
+// A cache hit, or compute + store + count.  A cell that throws settles as an
+// internal-error outcome, stored like any other, so every caller gets a value.
+Service::CellOutcome Service::run_cell(
+    std::uint64_t key, const std::string& source, OptLevel level,
+    const std::optional<TransformSet>& transforms, const NestOptions& nest,
+    SchedulerKind scheduler, int issue, int unroll) {
+  CellOutcome out;
+  if (cached_cell(key, out)) return out;
+  try {
+    out = compute_cell(source, level, transforms, nest, scheduler, issue, unroll);
+  } catch (const std::exception& e) {
+    out = CellOutcome{};
+    out.err = ErrorKind::Internal;
+    out.message = strformat("cell threw: %s", e.what());
+  }
+  cache_for(key).store(key, encode_cell(out));
+  bump(kCellsExecuted);
+  return out;
+}
+
 // --- Autotune plumbing ------------------------------------------------------
 
 // Future value of one whole autotune search (the coalescing unit).
@@ -386,8 +438,7 @@ struct Service::TuneInflight {
 // in the tune.phase.* histograms that stats_json and loadgen report.
 class Service::TuneEvaluator final : public tune::Evaluator {
  public:
-  TuneEvaluator(Service& svc, std::shared_ptr<RequestObs> ro)
-      : svc_(svc), ro_(std::move(ro)) {}
+  TuneEvaluator(Service& svc, RequestObs& ro) : svc_(svc), ro_(ro) {}
 
   std::vector<Analysis> analyze(const std::string& source, int issue,
                                 const std::vector<tune::TuneConfig>& cfgs) override {
@@ -399,7 +450,7 @@ class Service::TuneEvaluator final : public tune::Evaluator {
     futures.reserve(cfgs.size());
     for (const tune::TuneConfig& c : cfgs)
       futures.push_back(svc_.pool_->submit([this, &source, &m, c]() -> Analysis {
-        obs::RequestScope scope(&ro_->ctx);
+        obs::RequestScope scope(&ro_.ctx);
         const std::string label = "analyze " + c.name();
         obs::SpanScope span(label, "tune");
         Analysis a;
@@ -435,22 +486,12 @@ class Service::TuneEvaluator final : public tune::Evaluator {
       futures.push_back(svc_.pool_->submit_pinned(
           static_cast<unsigned>(svc_.shard_index(key)),
           [this, &source, issue, c, key]() -> Measurement {
-            obs::RequestScope scope(&ro_->ctx);
+            obs::RequestScope scope(&ro_.ctx);
             const std::string label = "measure " + c.name();
             obs::SpanScope span(label, "tune");
-            engine::ResultCache& cache = svc_.cache_for(key);
-            if (auto payload = cache.lookup(key)) {
-              CellOutcome hit;
-              if (decode_cell(*payload, hit))
-                return to_measurement(hit, /*cache_hit=*/true);
-              cache.invalidate(key);
-            }
-            CellOutcome out = svc_.compute_cell(source, c.level, std::nullopt,
-                                                c.nest, c.scheduler, issue,
-                                                c.unroll);
-            cache.store(key, encode_cell(out));
-            svc_.bump(kCellsExecuted);
-            return to_measurement(out, /*cache_hit=*/false);
+            return to_measurement(svc_.run_cell(key, source, c.level,
+                                                std::nullopt, c.nest,
+                                                c.scheduler, issue, c.unroll));
           }));
     }
     std::vector<Measurement> out(cfgs.size());
@@ -463,9 +504,9 @@ class Service::TuneEvaluator final : public tune::Evaluator {
   // Converts a service cell into the tuner's measurement, enforcing the
   // conservation identity on the cached ProfileSummary — a result whose slot
   // accounting does not close must never rank, let alone win.
-  static Measurement to_measurement(const CellOutcome& cell, bool cache_hit) {
+  static Measurement to_measurement(const CellOutcome& cell) {
     Measurement m;
-    m.cache_hit = cache_hit;
+    m.cache_hit = cell.resp.cached;
     if (!cell.ok) {
       m.error = cell.message;
       return m;
@@ -489,7 +530,7 @@ class Service::TuneEvaluator final : public tune::Evaluator {
   }
 
   Service& svc_;
-  std::shared_ptr<RequestObs> ro_;
+  RequestObs& ro_;
 };
 
 Service::Service(ServiceConfig cfg)
@@ -703,11 +744,6 @@ Reply Service::serve(const std::string& line, std::uint64_t queued_ns) {
 }
 
 Reply Service::serve_parsed(ParsedRequest p, std::uint64_t queued_ns) {
-  auto flat = [](std::string s) {
-    Reply r;
-    r.flat = std::move(s);
-    return r;
-  };
   bump(kReceived);
   if (!p.req) {
     bump(kBadRequest);
@@ -743,24 +779,33 @@ Reply Service::serve_parsed(ParsedRequest p, std::uint64_t queued_ns) {
           (req.kind == RequestKind::Compile && req.compile.trace) ||
           (req.kind == RequestKind::Autotune && req.autotune.trace);
       const bool traced = wants_trace && !cfg_.trace_dir.empty();
-      auto ro = std::make_shared<RequestObs>(mint_request_id(), traced);
+      RequestObs ro(mint_request_id(), traced);
       if (wants_trace && !traced)
         obs::Logger::global().warn_rate_limited(
             "trace_untraceable", "trace requested but no --trace-dir configured");
-      obs::RequestScope scope(&ro->ctx);
+      obs::RequestScope scope(&ro.ctx);
       obs::log_debug(req.kind == RequestKind::Compile  ? "compile request"
                      : req.kind == RequestKind::Batch ? "batch request"
                                                       : "autotune request");
       Reply r;
-      if (req.kind == RequestKind::Batch)
+      if (req.kind == RequestKind::Batch) {
         r.flat = handle_batch(req);
-      else if (req.kind == RequestKind::Autotune)
+      } else if (req.kind == RequestKind::Autotune) {
         r.flat = handle_autotune(req, ro);
-      else if (traced)
-        r.flat = handle_compile(req, ro);  // traces need the pool-span path
-      else
+      } else {
         r = handle_compile_direct(p, ro, queued_ns);
-      latency_hist_.record(ro->wall.nanos());
+        // Only a traced reply names its trace file, so it is assembled flat
+        // here; the hot tier keeps the trace-free segments.
+        if (ro.recorder != nullptr) {
+          const std::string trace_file = write_request_trace(cfg_.trace_dir, ro);
+          if (r.body != nullptr) {
+            r.flat = assemble_compile_response(r.id_json, *r.body, r.cached,
+                                               r.request_id, trace_file);
+            r.body = nullptr;
+          }
+        }
+      }
+      latency_hist_.record(ro.wall.nanos());
       return r;
     }
   }
@@ -769,270 +814,18 @@ Reply Service::serve_parsed(ParsedRequest p, std::uint64_t queued_ns) {
       serialize_error(req.id_json, ErrorKind::Internal, "unhandled request kind"));
 }
 
-std::string Service::handle_line(const std::string& line) {
-  bump(kReceived);
-
-  std::string error;
-  const auto req = parse_request(line, &error);
-  if (!req) {
-    bump(kBadRequest);
-    obs::Logger::global().warn_rate_limited(
-        "bad_request", "request rejected: malformed line",
-        {obs::field("error", error)});
-    return serialize_error("null", ErrorKind::BadRequest, error);
-  }
-
-  switch (req->kind) {
-    case RequestKind::Stats: {
-      bump(kOk);
-      return serialize_stats_response(req->id_json, stats_json());
-    }
-    case RequestKind::Metrics: {
-      bump(kOk);
-      return serialize_metrics_response(req->id_json, metrics_exposition());
-    }
-    case RequestKind::Profile: {
-      bump(kOk);
-      return serialize_profile_response(req->id_json, profile_json());
-    }
-    case RequestKind::Compile:
-    case RequestKind::Batch:
-    case RequestKind::Autotune: {
-      if (draining()) {
-        bump(kShuttingDown);
-        return serialize_error(req->id_json, ErrorKind::ShuttingDown,
-                               "drain in progress; no new work accepted");
-      }
-      // Mint the request id and install the request context for the handler
-      // thread; the engine job re-installs it on its worker (RequestObs is
-      // shared with the job, which can outlive this frame on a deadline).
-      const bool wants_trace =
-          (req->kind == RequestKind::Compile && req->compile.trace) ||
-          (req->kind == RequestKind::Autotune && req->autotune.trace);
-      const bool traced = wants_trace && !cfg_.trace_dir.empty();
-      auto ro = std::make_shared<RequestObs>(mint_request_id(), traced);
-      if (wants_trace && !traced)
-        obs::Logger::global().warn_rate_limited(
-            "trace_untraceable", "trace requested but no --trace-dir configured");
-      obs::RequestScope scope(&ro->ctx);
-      obs::log_debug(req->kind == RequestKind::Compile  ? "compile request"
-                     : req->kind == RequestKind::Batch ? "batch request"
-                                                       : "autotune request");
-      std::string response = req->kind == RequestKind::Compile
-                                 ? handle_compile(*req, ro)
-                             : req->kind == RequestKind::Autotune
-                                 ? handle_autotune(*req, ro)
-                                 : handle_batch(*req);
-      latency_hist_.record(ro->wall.nanos());
-      return response;
-    }
-  }
-  bump(kInternalErrors);
-  return serialize_error(req->id_json, ErrorKind::Internal, "unhandled request kind");
-}
-
-std::string Service::handle_compile(const Request& req,
-                                    const std::shared_ptr<RequestObs>& ro) {
-  auto respond = [&](CellOutcome out) {
-    out.resp.request_id = ro->id;
-    if (out.ok) {
-      bump(kOk);
-      // Every cell carries its summary; the request's flag only gates
-      // serialization, so coalesced twins with different flags each get
-      // the response shape they asked for.
-      out.resp.have_profile = req.compile.profile;
-      return serialize_compile_response(req.id_json, out.resp);
-    }
-    bump(out.err == ErrorKind::Internal ? kInternalErrors : kCompileErrors);
-    obs::log_debug("compile request failed",
-                   {obs::field("kind", error_kind_name(out.err)),
-                    obs::field("message", out.message)});
-    return serialize_error(req.id_json, out.err, out.message);
-  };
-
-  const CompileRequest& c = req.compile;
-  std::string source = c.source;
-  if (!c.workload.empty()) {
-    const Workload* w = find_workload(c.workload);
-    if (w == nullptr) {
-      bump(kBadRequest);
-      return serialize_error(req.id_json, ErrorKind::BadRequest,
-                             strformat("unknown workload '%s'", c.workload.c_str()));
-    }
-    source = w->source;
-  }
-
-  const std::uint64_t key = cell_key(source, c.level, c.transforms, c.nest,
-                                     c.scheduler, c.issue, c.unroll, c.debug_sleep_ms);
-  Shard& sh = shard_for(key);
-
-  // Warm path: a previously served identical request costs one cache lookup.
-  if (auto payload = sh.cache->lookup(key)) {
-    CellOutcome out;
-    if (decode_cell(*payload, out)) {
-      out.resp.cached = true;
-      return respond(std::move(out));
-    }
-    sh.cache->invalidate(key);
-  }
-
-  // Join an identical in-flight request, or admit a new cell.  Admission and
-  // publication are atomic per shard, so duplicates can never slip past the
-  // map; the cell-count bound itself is a lock-free global counter.
-  std::shared_ptr<Inflight> entry;
-  bool joined = false;
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.inflight.find(key);
-    if (it != sh.inflight.end()) {
-      entry = it->second;
-      entry->waiters.fetch_add(1, std::memory_order_relaxed);
-      joined = true;
-    } else if (try_admit(1)) {
-      // Bounded queue: an admission that would exceed `workers + queue_limit`
-      // cells leaves `entry` null and is rejected outside the lock.
-      entry = std::make_shared<Inflight>();
-      entry->group = std::make_shared<engine::JobGroup>(*pool_);
-      auto group = entry->group;
-      engine::Stopwatch queued;
-      // Submitted outside the group wrapper: the outcome (including
-      // cancelled-while-queued) is always a value, so the in-flight erase and
-      // cell settlement below run on every path.
-      entry->future =
-          pool_->submit([this, source, c, key, group, ro, queued]() -> CellOutcome {
-            queue_wait_hist_.record(queued.nanos());
-            // Re-establish the minting request's context on the worker so
-            // logs, spans and the trace recorder follow the request across
-            // the thread hop.
-            obs::RequestScope scope(&ro->ctx);
-            obs::SpanScope span("job", "engine");
-            CellOutcome out;
-            if (c.debug_sleep_ms > 0 && !group->cancel_requested())
-              interruptible_sleep(c.debug_sleep_ms, *group);
-            if (group->cancel_requested()) {
-              out.err = ErrorKind::DeadlineExceeded;
-              out.message = "cancelled while queued (deadline exceeded)";
-            } else {
-              Shard& osh = shard_for(key);
-              // Close the lookup->admit race: an identical cell can finish
-              // (cache store, then inflight erase, in that order) between
-              // this request's cache miss and its admission.  The admission
-              // lock synchronizes with the erase, so re-checking here is
-              // guaranteed to see the twin's payload — every cell executes
-              // (and accumulates into the profile counters) exactly once.
-              bool raced_hit = false;
-              if (auto payload = osh.cache->lookup(key)) {
-                CellOutcome hit;
-                if (decode_cell(*payload, hit)) {
-                  hit.resp.cached = true;
-                  out = std::move(hit);
-                  raced_hit = true;
-                }
-              }
-              if (!raced_hit) {
-                out = compute_cell(source, c.level, c.transforms, c.nest,
-                                   c.scheduler, c.issue, c.unroll);
-                osh.cache->store(key, encode_cell(out));
-                bump(kCellsExecuted);
-              }
-            }
-            {
-              std::lock_guard<std::mutex> mlock(shard_for(key).mu);
-              shard_for(key).inflight.erase(key);
-            }
-            settle_cells(1);
-            return out;
-          }).share();
-      sh.inflight.emplace(key, entry);
-    }
-  }
-
-  if (entry == nullptr) {
-    bump(kOverloaded);
-    obs::Logger::global().warn_rate_limited(
-        "overloaded", "request rejected: admission queue full",
-        {obs::field("capacity", capacity_)});
-    return serialize_error(
-        req.id_json, ErrorKind::Overloaded,
-        strformat("admission queue full (%zu cells in flight, capacity %zu)",
-                  inflight_cells(), capacity_));
-  }
-  if (joined) bump(kCoalesced);
-
-  const std::int64_t deadline_ms =
-      c.deadline_ms > 0 ? c.deadline_ms : cfg_.default_deadline_ms;
-  std::shared_future<CellOutcome> fut = entry->future;
-  if (deadline_ms > 0 &&
-      fut.wait_for(std::chrono::milliseconds(deadline_ms)) ==
-          std::future_status::timeout) {
-    // Last waiter out cancels the job; if it has not started it settles as
-    // cancelled, if it is running it finishes into the cache for next time.
-    // (Inline-executed cells have no group — they are running by definition.)
-    if (entry->waiters.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        entry->group != nullptr)
-      entry->group->cancel();
-    bump(kDeadlineExceeded);
-    obs::log_debug("deadline exceeded while waiting",
-                   {obs::field("deadline_ms", deadline_ms)});
-    return serialize_error(req.id_json, ErrorKind::DeadlineExceeded,
-                           strformat("deadline of %lld ms exceeded",
-                                     static_cast<long long>(deadline_ms)));
-  }
-  entry->waiters.fetch_sub(1, std::memory_order_acq_rel);
-  CellOutcome out = fut.get();
-  if (!out.ok && out.err == ErrorKind::DeadlineExceeded)
-    bump(kDeadlineExceeded);
-
-  // The trace belongs to the request that admitted the cell; joiners shared
-  // the future but not the spans.  The request span is recorded explicitly
-  // (rather than via SpanScope) so it lands before the file is written.
-  if (ro->recorder != nullptr && !joined) {
-    ro->recorder->record_span("request", "server", 0,
-                              ro->recorder->now_us(), ro->id);
-    const std::string path =
-        (std::filesystem::path(cfg_.trace_dir) / ("req-" + ro->id + ".json"))
-            .string();
-    std::error_code ec;
-    std::filesystem::create_directories(cfg_.trace_dir, ec);
-    if (ro->recorder->write_chrome_trace(path)) {
-      out.resp.trace_file = path;
-      obs::log_info("request trace written",
-                    {obs::field("path", path),
-                     obs::field("spans", ro->recorder->event_count())});
-    } else {
-      obs::log_warn("failed to write request trace", {obs::field("path", path)});
-    }
-  }
-  return respond(std::move(out));
-}
-
-Reply Service::handle_compile_direct(const ParsedRequest& p,
-                                     const std::shared_ptr<RequestObs>& ro,
+Reply Service::handle_compile_direct(const ParsedRequest& p, RequestObs& ro,
                                      std::uint64_t queued_ns) {
   const Request& req = *p.req;
   const CompileRequest& c = req.compile;
-  auto flat = [](std::string s) {
-    Reply r;
-    r.flat = std::move(s);
-    return r;
-  };
-  // Error/bookkeeping twin of the pool path's respond(): same counters, same
-  // bytes (serialize_error for failures, segment assembly for successes).
   auto respond_error = [&](const CellOutcome& out) {
-    bump(out.err == ErrorKind::Internal ? kInternalErrors : kCompileErrors);
+    bump(out.err == ErrorKind::Internal           ? kInternalErrors
+         : out.err == ErrorKind::DeadlineExceeded ? kDeadlineExceeded
+                                                  : kCompileErrors);
     obs::log_debug("compile request failed",
                    {obs::field("kind", error_kind_name(out.err)),
                     obs::field("message", out.message)});
     return flat(serialize_error(req.id_json, out.err, out.message));
-  };
-  auto segment_reply = [&](std::shared_ptr<const CompileBody> body, bool cached) {
-    bump(kOk);
-    Reply r;
-    r.body = std::move(body);
-    r.id_json = req.id_json;
-    r.cached = cached;
-    r.request_id = ro->id;
-    return r;
   };
 
   if (!c.workload.empty() && p.source.empty()) {
@@ -1042,33 +835,34 @@ Reply Service::handle_compile_direct(const ParsedRequest& p,
         strformat("unknown workload '%s'", c.workload.c_str())));
   }
   const std::uint64_t key = p.cell_key;
-  const std::uint64_t hot_key = hot_key_of(p);
   Shard& sh = *shards_[p.shard];
   queue_wait_hist_.record(queued_ns);
 
   // Hot tier: the response segments for this cell were already built — the
   // reply is three pointer copies, serialized (or writev'd) at write time.
-  if (auto body = hot_lookup(p)) return hot_reply(p, std::move(body), ro->id);
+  if (auto body = hot_lookup(p)) return hot_reply(p, std::move(body), ro.id);
 
-  // Result-cache tier (memory partition, then shared disk).  A decoded hit
-  // is pre-serialized once and promoted into the hot tier.
-  if (auto payload = sh.cache->lookup(key)) {
-    CellOutcome out;
-    if (decode_cell(*payload, out)) {
-      if (out.ok) {
-        out.resp.have_profile = c.profile;
-        auto body =
-            std::make_shared<const CompileBody>(serialize_compile_body(out.resp));
-        {
-          std::lock_guard<std::mutex> lock(sh.mu);
-          hot_insert(sh, hot_key, body);
-        }
-        return segment_reply(std::move(body), /*cached=*/true);
-      }
-      return respond_error(out);
+  // Every other successful reply serializes the cell once, promotes the
+  // segments into the hot tier and answers from them.
+  auto ok_reply = [&](CellOutcome& out) {
+    out.resp.have_profile = c.profile;  // the cell is profile-blind; the reply is not
+    auto body = std::make_shared<const CompileBody>(serialize_compile_body(out.resp));
+    {
+      std::lock_guard<std::mutex> lock(sh.mu);
+      hot_insert(sh, hot_key_of(p), body);
     }
-    sh.cache->invalidate(key);
-  }
+    bump(kOk);
+    Reply r;
+    r.body = std::move(body);
+    r.id_json = req.id_json;
+    r.cached = out.resp.cached;
+    r.request_id = ro.id;
+    return r;
+  };
+
+  // Result-cache tier (memory partition, then shared disk).
+  if (CellOutcome out; cached_cell(key, out))
+    return out.ok ? ok_reply(out) : respond_error(out);
 
   const std::int64_t deadline_ms =
       c.deadline_ms > 0 ? c.deadline_ms : cfg_.default_deadline_ms;
@@ -1081,14 +875,14 @@ Reply Service::handle_compile_direct(const ParsedRequest& p,
                                 strformat("deadline of %lld ms exceeded",
                                           static_cast<long long>(deadline_ms))));
   };
-  // The dispatch ring is this path's admission queue: a line whose ring wait
-  // already consumed its whole deadline is cancelled-while-queued, before it
-  // can occupy an admission slot.
+  // The dispatch ring is the admission queue: a line whose ring wait already
+  // consumed its whole deadline is cancelled-while-queued, before it can
+  // occupy an admission slot.
   if (deadline_ms > 0 && queued_ms >= deadline_ms) return deadline_reply();
 
-  // Join an identical in-flight cell (it can only be executing on another
-  // shard worker or a pool thread — identical keys on THIS shard's ring are
-  // processed serially), or admit and execute inline.
+  // Join an identical in-flight cell (identical keys on one shard's ring are
+  // processed serially, so its executor is another thread: an event loop's
+  // caller, a test thread, another shard worker), or admit and execute here.
   std::shared_ptr<Inflight> entry;
   std::promise<CellOutcome> settle_promise;
   bool executor = false;
@@ -1097,7 +891,6 @@ Reply Service::handle_compile_direct(const ParsedRequest& p,
     auto it = sh.inflight.find(key);
     if (it != sh.inflight.end()) {
       entry = it->second;
-      entry->waiters.fetch_add(1, std::memory_order_relaxed);
     } else if (try_admit(1)) {
       entry = std::make_shared<Inflight>();
       entry->future = settle_promise.get_future().share();
@@ -1118,94 +911,62 @@ Reply Service::handle_compile_direct(const ParsedRequest& p,
 
   if (!executor) {
     bump(kCoalesced);
-    std::shared_future<CellOutcome> fut = entry->future;
+    const std::shared_future<CellOutcome> fut = entry->future;
     if (deadline_ms > 0 &&
         fut.wait_for(std::chrono::milliseconds(deadline_ms - queued_ms)) ==
-            std::future_status::timeout) {
-      if (entry->waiters.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-          entry->group != nullptr)
-        entry->group->cancel();
+            std::future_status::timeout)
       return deadline_reply();
-    }
-    entry->waiters.fetch_sub(1, std::memory_order_acq_rel);
     CellOutcome out = fut.get();
-    if (!out.ok && out.err == ErrorKind::DeadlineExceeded)
-      bump(kDeadlineExceeded);
-    out.resp.request_id = ro->id;
-    if (out.ok) {
-      bump(kOk);
-      out.resp.have_profile = c.profile;
-      return flat(serialize_compile_response(req.id_json, out.resp));
-    }
-    return respond_error(out);
+    return out.ok ? ok_reply(out) : respond_error(out);
   }
 
-  // Executor: the cell runs here, on the shard worker that owns its state.
+  // Executor: the cell runs on this thread inside the request's `job` span,
+  // so a traced request's pass spans nest under it.
   CellOutcome out;
   bool deadline_hit = false;
-  obs::SpanScope span("job", "engine");
-  if (c.debug_sleep_ms > 0) {
-    // debug_sleep stands in for long compute; honor the remaining deadline
-    // budget the way a queued pool job honors cancellation.
-    const auto sleep_end = Clock::now() + std::chrono::milliseconds(c.debug_sleep_ms);
-    const auto deadline_end =
-        Clock::now() + std::chrono::milliseconds(deadline_ms - queued_ms);
-    while (Clock::now() < sleep_end) {
-      if (deadline_ms > 0 && Clock::now() >= deadline_end) {
-        deadline_hit = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  }
-  std::shared_ptr<const CompileBody> body;
-  bool raced_hit = false;
-  if (deadline_hit) {
-    out.ok = false;
-    out.err = ErrorKind::DeadlineExceeded;
-    out.message = "cancelled while queued (deadline exceeded)";
-  } else {
-    // Close the lookup->admit race: an identical cell can finish (cache
-    // store, then inflight erase, in that order) between this request's
-    // cache miss and its admission.  The admission lock synchronizes with
-    // the erase, so re-checking here is guaranteed to see the twin's
-    // payload — every cell executes (and accumulates into the profile
-    // counters) exactly once.
-    if (auto payload = sh.cache->lookup(key)) {
-      CellOutcome hit;
-      if (decode_cell(*payload, hit)) {
-        out = std::move(hit);
-        raced_hit = true;
+  {
+    obs::SpanScope span("job", "engine");
+    if (c.debug_sleep_ms > 0) {
+      // debug_sleep stands in for long compute and honors the remaining
+      // deadline budget, the way a running cell checks its deadline.
+      const auto sleep_end =
+          Clock::now() + std::chrono::milliseconds(c.debug_sleep_ms);
+      const auto deadline_end =
+          Clock::now() + std::chrono::milliseconds(deadline_ms - queued_ms);
+      while (Clock::now() < sleep_end) {
+        if (deadline_ms > 0 && Clock::now() >= deadline_end) {
+          deadline_hit = true;
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
     }
-    if (!raced_hit) {
-      try {
-        out = compute_cell(p.source, c.level, c.transforms, c.nest, c.scheduler,
-                           c.issue, c.unroll);
-      } catch (const std::exception& e) {
-        out.ok = false;
-        out.err = ErrorKind::Internal;
-        out.message = strformat("cell threw: %s", e.what());
-      }
-      sh.cache->store(key, encode_cell(out));
-      bump(kCellsExecuted);
-    }
-    if (out.ok) {
-      out.resp.have_profile = c.profile;  // joiners re-gate from their own flag
-      body = std::make_shared<const CompileBody>(serialize_compile_body(out.resp));
+    if (deadline_hit) {
+      out.err = ErrorKind::DeadlineExceeded;
+      out.message = "cancelled while queued (deadline exceeded)";
+    } else {
+      // run_cell re-reads the cache, which closes the lookup->admit race: an
+      // identical cell can finish (cache store, then inflight erase, in that
+      // order) between this request's cache miss and its admission.  The
+      // admission lock synchronizes with the erase, so the re-read sees the
+      // twin's payload — every cell executes (and accumulates into the
+      // profile counters) exactly once.
+      out = run_cell(key, p.source, c.level, c.transforms, c.nest, c.scheduler,
+                     c.issue, c.unroll);
     }
   }
   settle_promise.set_value(out);
   {
     std::lock_guard<std::mutex> lock(sh.mu);
     sh.inflight.erase(key);
-    if (body != nullptr) hot_insert(sh, hot_key, body);
   }
+  // The reply (and its hot-tier entry) is built before the cell settles, so
+  // a drain that has settled also sees the segments.
+  Reply r = deadline_hit ? deadline_reply()
+            : out.ok     ? ok_reply(out)
+                         : respond_error(out);
   settle_cells(1);
-
-  if (deadline_hit) return deadline_reply();
-  if (out.ok) return segment_reply(std::move(body), /*cached=*/raced_hit);
-  return respond_error(out);
+  return r;
 }
 
 std::string Service::handle_batch(const Request& req) {
@@ -1256,7 +1017,7 @@ std::string Service::handle_batch(const Request& req) {
   // cache partition is written by the thread that owns it.
   engine::JobGroup group(*pool_);
   std::vector<BatchCell> cells(n);
-  std::vector<std::future<BatchCell>> futures;
+  std::vector<std::future<CellOutcome>> futures;
   futures.reserve(n);
   std::size_t idx = 0;
   for (const Workload* w : loops)
@@ -1272,39 +1033,10 @@ std::string Service::handle_batch(const Request& req) {
                                            NestOptions{}, scheduler, width, 8, 0);
         futures.push_back(group.submit_pinned(
             static_cast<unsigned>(shard_index(key)),
-            [this, w, level, width, scheduler, key, queued]() -> BatchCell {
+            [this, w, level, width, scheduler, key, queued]() -> CellOutcome {
               queue_wait_hist_.record(queued.nanos());
-              BatchCell cell;
-              cell.workload = w->name;
-              cell.level = level;
-              cell.width = width;
-              engine::ResultCache& cache = cache_for(key);
-              if (auto payload = cache.lookup(key)) {
-                CellOutcome cached;
-                if (decode_cell(*payload, cached)) {
-                  if (cached.ok) {
-                    cell.cycles = cached.resp.cycles;
-                    cell.int_regs = cached.resp.int_regs;
-                    cell.fp_regs = cached.resp.fp_regs;
-                  } else {
-                    cell.error = cached.message;
-                  }
-                  return cell;
-                }
-                cache.invalidate(key);
-              }
-              CellOutcome out = compute_cell(w->source, level, std::nullopt,
-                                             NestOptions{}, scheduler, width, 8);
-              cache.store(key, encode_cell(out));
-              bump(kCellsExecuted);
-              if (out.ok) {
-                cell.cycles = out.resp.cycles;
-                cell.int_regs = out.resp.int_regs;
-                cell.fp_regs = out.resp.fp_regs;
-              } else {
-                cell.error = out.message;
-              }
-              return cell;
+              return run_cell(key, w->source, level, std::nullopt, NestOptions{},
+                              scheduler, width, 8);
             }));
       }
 
@@ -1321,7 +1053,14 @@ std::string Service::handle_batch(const Request& req) {
       bump(kDeadlineExceeded);
     }
     try {
-      cells[i] = futures[i].get();
+      const CellOutcome out = futures[i].get();
+      if (out.ok) {
+        cells[i].cycles = out.resp.cycles;
+        cells[i].int_regs = out.resp.int_regs;
+        cells[i].fp_regs = out.resp.fp_regs;
+      } else {
+        cells[i].error = out.message;
+      }
     } catch (const engine::JobCancelled&) {
       cells[i].error = "cancelled: batch deadline exceeded";
     } catch (const std::exception& e) {
@@ -1334,8 +1073,7 @@ std::string Service::handle_batch(const Request& req) {
   return serialize_batch_response(req.id_json, cells, elapsed.seconds() * 1e3);
 }
 
-std::string Service::handle_autotune(const Request& req,
-                                     const std::shared_ptr<RequestObs>& ro) {
+std::string Service::handle_autotune(const Request& req, RequestObs& ro) {
   bump(kTuneRequests);
   const AutotuneRequest& a = req.autotune;
   std::string source = a.source;
@@ -1357,8 +1095,8 @@ std::string Service::handle_autotune(const Request& req,
     if (out.ok) {
       bump(kOk);
       return serialize_autotune_response(req.id_json, out.result_json, cached,
-                                         ro->id, trace_file,
-                                         ro->wall.seconds() * 1e3);
+                                         ro.id, trace_file,
+                                         ro.wall.seconds() * 1e3);
     }
     bump(out.err == ErrorKind::Internal ? kInternalErrors : kCompileErrors);
     obs::log_debug("autotune request failed",
@@ -1496,24 +1234,8 @@ std::string Service::handle_autotune(const Request& req,
   tune_jobs_.fetch_sub(1, std::memory_order_relaxed);
   settle_cells(1);
 
-  std::string trace_file;
-  if (ro->recorder != nullptr) {
-    ro->recorder->record_span("request", "server", 0, ro->recorder->now_us(),
-                              ro->id);
-    const std::string path =
-        (std::filesystem::path(cfg_.trace_dir) / ("req-" + ro->id + ".json"))
-            .string();
-    std::error_code ec;
-    std::filesystem::create_directories(cfg_.trace_dir, ec);
-    if (ro->recorder->write_chrome_trace(path)) {
-      trace_file = path;
-      obs::log_info("request trace written",
-                    {obs::field("path", path),
-                     obs::field("spans", ro->recorder->event_count())});
-    } else {
-      obs::log_warn("failed to write request trace", {obs::field("path", path)});
-    }
-  }
+  const std::string trace_file =
+      ro.recorder != nullptr ? write_request_trace(cfg_.trace_dir, ro) : "";
   return respond(out, /*cached=*/false, trace_file);
 }
 

@@ -2,40 +2,43 @@
 // coalescing, deadlines and graceful drain on top of the experiment engine —
 // sharded per core so the hot path never takes a cross-core lock.
 //
-// Request life cycle:
+// Request life cycle (one compile path):
 //
-//   handle_line(text) -> parse -> admission -> engine pool -> response line
-//   serve(text)       -> parse -> admission -> inline on the shard worker
-//                                              -> zero-copy response segments
+//   parse_and_route(text) -> try_serve_hot  (hot-tier hit: answered inline)
+//                         -> serve_parsed   -> admission -> the cell runs on
+//                                              the calling thread -> zero-copy
+//                                              response segments
 //
 //   * State is sharded: the result cache, the pre-serialized hot-response
 //     tier and the in-flight coalescing map are split into `workers` shards
 //     keyed by the cell's content hash.  The epoll transport routes requests
 //     so that a shard's structures are touched by one worker thread almost
-//     always; per-shard mutexes remain for cross-shard joiners, the
-//     pool-backed handle_line path and the stats walkers, but they are
-//     uncontended in steady state.
+//     always; per-shard mutexes remain for cross-shard joiners, the event
+//     loops' hot lookups and the stats walkers, but they are uncontended in
+//     steady state.
 //   * Admission is a bounded counter: at most `workers + queue_limit` study
-//     cells may be in flight (queued or executing).  A request that would
-//     exceed the bound is rejected immediately with an `overloaded` error —
-//     backpressure is always explicit, never a silently growing queue.
+//     cells may be in flight (executing, or a batch/autotune fan-out).  A
+//     request that would exceed the bound is rejected immediately with an
+//     `overloaded` error — backpressure is always explicit, never a silently
+//     growing queue.
 //   * Identical in-flight compile requests coalesce: the request key is the
 //     engine cache's content hash (HashStream over source, pipeline, machine
 //     and options), and the owning shard's in-flight map lets later arrivals
-//     share the first arrival's future instead of duplicating work — even
-//     when the arrivals ride different transports.
+//     share the executing request's future instead of duplicating work —
+//     even when the arrivals ride different transports.
 //   * Completed cells persist in the shard's engine::ResultCache partition
 //     (memory + optional shared disk tier), and successful compile cells
 //     additionally keep their serialized response segments in the shard's
-//     hot tier, so a warm repeat over the epoll transport costs one hash
-//     lookup and a writev — no JSON is built per reply (protocol.hpp
-//     CompileBody).
+//     hot tier, so a warm repeat costs one hash lookup and a writev — no
+//     JSON is built per reply (protocol.hpp CompileBody).
 //   * Every request carries a deadline (client-set or the service default).
-//     On the pool path a deadline that fires while the job is still queued
-//     cancels it through the engine's JobGroup hook; on the direct path the
-//     queue is the transport's dispatch ring, and a line whose ring wait
-//     already exceeded its deadline is answered `deadline_exceeded` without
-//     executing.  A cell already running always finishes into the cache.
+//     A compile's queue is the transport's dispatch ring: a line whose ring
+//     wait already exceeded its deadline is answered `deadline_exceeded`
+//     without executing.  A joiner stops waiting for its twin when its own
+//     deadline runs out, and the running cell checks the deadline it was
+//     admitted with (today only debug_sleep_ms honors it; a compute phase
+//     finishes into the cache).  Batches cancel their queued pool jobs as a
+//     unit through the engine's JobGroup hook.
 //   * begin_drain() flips the service into shutdown mode: compile/batch
 //     requests are refused with `shutting_down` (stats still answers), and
 //     wait_drained() blocks until every admitted cell has settled.
@@ -46,8 +49,9 @@
 //     Prometheus text exposition of everything (including per-shard gauges
 //     the transport registers via set_transport_metrics), and a compile
 //     request with {"trace": true} writes a request-scoped Chrome trace when
-//     the service has a trace_dir — with the simulated issue window rendered
-//     as per-slot lanes next to the wall-clock spans.
+//     the service has a trace_dir — the `request` span, the executing
+//     request's `job` and pass spans, and the simulated issue window
+//     rendered as per-slot lanes.
 //   * Cycle accounting: every executed cell runs under the simulator's
 //     stall-attribution profile (sim/profile.hpp).  A compile request with
 //     {"profile": true} gets the cell's summary in its response; the
@@ -57,9 +61,11 @@
 //
 // The service is transport-agnostic and fully thread-safe; server.cpp answers
 // hot-tier hits on its event loops via try_serve_hot() and feeds every other
-// line to its shard workers via serve_parsed(); tests call handle_line
-// directly.  Both paths produce byte-identical response lines for the same
-// request sequence (pinned by tests/server/epoll_transport_test.cpp).
+// line to its shard workers via serve_parsed(); tests and single-threaded
+// callers use serve(line).  The engine pool runs batch and autotune fan-out
+// only.  The socket path and serve(line).to_line() produce byte-identical
+// response lines for the same request sequence (pinned by
+// tests/server/epoll_transport_test.cpp).
 #pragma once
 
 #include <array>
@@ -132,12 +138,6 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  // Processes one request line, blocking until the response is ready.
-  // Always returns a single response line (no trailing newline) — every
-  // failure mode has a protocol representation.  Compile cells run on the
-  // engine pool.
-  std::string handle_line(const std::string& line);
-
   // Transport entry, split in two so each half runs on the right thread.
   //
   // parse_and_route runs on the event loop that read the line: it parses the
@@ -148,12 +148,13 @@ class Service {
   // errors, stats, batch, unknown workloads) get shard 0 — any shard answers
   // them correctly.
   //
-  // serve_parsed runs on the shard worker: identical protocol behavior to
-  // handle_line, but compile cells execute inline on the calling thread (the
-  // shard worker set IS the execution resource) and warm hits return shared
-  // pre-serialized segments instead of a fresh string.  `queued_ns` is the
-  // time the line waited in the dispatch ring; it counts against the
-  // request's deadline and lands in the queue-wait histogram.
+  // serve_parsed runs on the shard worker and always produces a reply —
+  // every failure mode has a protocol representation.  Compile cells execute
+  // inline on the calling thread (the shard worker set IS the execution
+  // resource) and successful compiles return shared pre-serialized segments
+  // instead of a fresh string.  `queued_ns` is the time the line waited in
+  // the dispatch ring; it counts against the request's deadline and lands in
+  // the queue-wait histogram.
   struct ParsedRequest {
     std::optional<Request> req;  // nullopt => parse_error holds the reason
     std::string parse_error;
@@ -172,7 +173,8 @@ class Service {
   // compile, an error, a drain — returns nullopt with no side effect at all,
   // and the caller routes the request to its shard as usual.
   [[nodiscard]] std::optional<Reply> try_serve_hot(const ParsedRequest& p);
-  // Both halves in one call (tests and single-threaded callers).
+  // Both halves in one call (tests and single-threaded callers);
+  // serve(line).to_line() is the response line without its newline.
   Reply serve(const std::string& line, std::uint64_t queued_ns = 0);
 
   // Refuse new compile/batch work from now on (`shutting_down`); stats
@@ -266,21 +268,26 @@ class Service {
   // Exactly-once bookkeeping when admitted cells settle.
   void settle_cells(std::size_t n);
 
-  std::string handle_compile(const Request& req, const std::shared_ptr<RequestObs>& ro);
-  // Direct-execution variant for serve_parsed(): runs the cell on the
-  // calling thread, keeps coalescing via a promise-backed in-flight entry,
-  // returns zero-copy segments on warm hits.
-  Reply handle_compile_direct(const ParsedRequest& p,
-                              const std::shared_ptr<RequestObs>& ro,
+  // The compile path behind serve_parsed: hot tier, result cache, then join
+  // an identical in-flight cell or admit and run it on the calling thread
+  // (a promise-backed in-flight entry lets later twins share the outcome).
+  Reply handle_compile_direct(const ParsedRequest& p, RequestObs& ro,
                               std::uint64_t queued_ns);
   std::string handle_batch(const Request& req);
   // Autotune verb: coalesced by search content hash, whole results cached,
   // candidate evaluations fanned onto the pool via TuneEvaluator (sharing
   // the compile verb's cell cache), deadline/drain folded into the search's
   // cancellation hook so it stops with the best found so far.
-  std::string handle_autotune(const Request& req,
-                              const std::shared_ptr<RequestObs>& ro);
+  std::string handle_autotune(const Request& req, RequestObs& ro);
 
+  // The one cell body every path shares (compile executor, batch member,
+  // autotune measurement): cached_cell reads the shard's result cache,
+  // run_cell answers from it or computes, stores and counts the cell.
+  bool cached_cell(std::uint64_t key, CellOutcome& out);
+  CellOutcome run_cell(std::uint64_t key, const std::string& source, OptLevel level,
+                       const std::optional<TransformSet>& transforms,
+                       const NestOptions& nest, SchedulerKind scheduler, int issue,
+                       int unroll);
   CellOutcome compute_cell(const std::string& source, OptLevel level,
                            const std::optional<TransformSet>& transforms,
                            const NestOptions& nest, SchedulerKind scheduler,

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/fixtures.hpp"
+#include "workloads/nest_suite.hpp"
+#include "workloads/suite.hpp"
+
 namespace ilp::dsl {
 namespace {
 
@@ -134,6 +140,47 @@ TEST(Parser, ZeroStepRejected) {
   EXPECT_FALSE(
       parse("program p\nscalar s int\nloop i = 0 to 3 step 0 { s = 1; }\n", d)
           .has_value());
+}
+
+// Hostile nesting is a diagnostic, not a stack overflow: 50k parentheses or
+// unary minuses would otherwise recurse the parser off the stack, and a
+// 20k-term sum or product builds a tree the compiler walks recursively.
+TEST(Parser, DeepExpressionNestingIsReportedNotFatal) {
+  const std::string head = "program p\nscalar s int out\ns = ";
+  std::string parens = head + std::string(50'000, '(') + "1";
+  parens += std::string(50'000, ')') + ";\n";
+  std::string negs = head + std::string(50'000, '-') + "1;\n";
+  std::string sum = head + "1";
+  std::string product = head + "1";
+  for (int i = 0; i < 20'000; ++i) {
+    sum += "+1";
+    product += "*1";
+  }
+  sum += ";\n";
+  product += ";\n";
+  for (const std::string* src : {&parens, &negs, &sum, &product}) {
+    DiagnosticEngine d;
+    EXPECT_FALSE(parse(*src, d).has_value()) << src->substr(0, 60);
+    EXPECT_NE(d.to_string().find("nested deeper than"), std::string::npos)
+        << d.to_string().substr(0, 200);
+  }
+  // Nesting and chains inside the bound still parse.
+  std::string ok = head + std::string(200, '(') + "1" + std::string(200, ')');
+  for (int i = 0; i < 200; ++i) ok += "+1";
+  EXPECT_TRUE(try_parse(ok + ";\n").has_value());
+}
+
+// The bound sits far above anything real: every suite and nest-suite
+// workload and every program the fuzz generators produce still parses.
+TEST(Parser, NestingBoundAdmitsSuiteAndFuzzCorpus) {
+  for (const auto* suite : {&workload_suite(), &nest_suite()})
+    for (const Workload& w : *suite)
+      EXPECT_TRUE(try_parse(w.source).has_value()) << w.name;
+  for (std::uint64_t seed = 0; seed < 500; ++seed) {
+    EXPECT_TRUE(try_parse(ilp::testing::random_program(seed)).has_value()) << seed;
+    EXPECT_TRUE(try_parse(ilp::testing::random_nest_program(seed)).has_value())
+        << seed;
+  }
 }
 
 }  // namespace

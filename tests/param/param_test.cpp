@@ -1,6 +1,8 @@
 // Parameterized property sweeps (gtest TEST_P / INSTANTIATE_TEST_SUITE_P).
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "common/fixtures.hpp"
@@ -15,6 +17,11 @@
 #include "workloads/suite.hpp"
 
 namespace ilp {
+
+// gtest prints each parameter into the test's listed name; give the level its
+// name rather than a raw byte dump.
+void PrintTo(OptLevel level, std::ostream* os) { *os << level_name(level); }
+
 namespace {
 
 using ilp::testing::infinite_issue;
@@ -55,11 +62,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Level x issue width on representative workloads: semantics preserved and
-// cycles monotone in width.
+// cycles monotone in width. The workload is a std::string, not a const char*:
+// gtest prints a pointer parameter with its address, which would put a
+// per-process (ASLR) value into the listed test names.
 // ---------------------------------------------------------------------------
 
 class LevelWidthSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, OptLevel>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, OptLevel>> {};
 
 TEST_P(LevelWidthSweep, SemanticsAndWidthMonotonicity) {
   const auto [name, level] = GetParam();
@@ -89,8 +98,9 @@ TEST_P(LevelWidthSweep, SemanticsAndWidthMonotonicity) {
 
 INSTANTIATE_TEST_SUITE_P(
     WorkloadsByLevel, LevelWidthSweep,
-    ::testing::Combine(::testing::Values("dotprod", "maxval", "SDS-4", "CSS-1",
-                                         "matrix300-1"),
+    ::testing::Combine(::testing::Values(std::string("dotprod"), std::string("maxval"),
+                                         std::string("SDS-4"), std::string("CSS-1"),
+                                         std::string("matrix300-1")),
                        ::testing::Values(OptLevel::Conv, OptLevel::Lev2, OptLevel::Lev4)),
     [](const ::testing::TestParamInfo<LevelWidthSweep::ParamType>& info) {
       std::string n = std::get<0>(info.param);

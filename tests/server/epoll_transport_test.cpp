@@ -1,12 +1,12 @@
 // Transport-equivalence tests: the epoll/writev path must be byte-identical
-// to the in-process handle_line path, and pipelined replies must come back
-// in request order even when shards complete out of order.
+// to the in-process serve(line).to_line() path, and pipelined replies must
+// come back in request order even when shards complete out of order.
 //
 // Byte-identity is the acceptance contract for the zero-copy response split
 // (protocol.hpp CompileBody): a warm reply assembled from pre-serialized
 // segments via writev and a cold reply built as one string must be the same
 // bytes on the wire.  Two identically-configured Services are driven with
-// the same line sequence — one through handle_line, one through a real
+// the same line sequence — one through serve(line), one through a real
 // Server socket — so the minted request ids (r-<n>) line up and the replies
 // can be compared verbatim.
 #include <gtest/gtest.h>
@@ -68,7 +68,7 @@ TEST(EpollTransport, RepliesAreByteIdenticalToHandleLine) {
     Service reference(workers(2));
     expected.reserve(lines.size());
     for (const std::string& line : lines)
-      expected.push_back(reference.handle_line(line));
+      expected.push_back(reference.serve(line).to_line());
   }
 
   // Same sequence over a real socket, sequentially so the request-id mint
@@ -240,7 +240,7 @@ TEST(MultiLoop, RepliesAreByteIdenticalToHandleLinePerConnection) {
     Service reference(workers(kLoops));
     for (std::size_t i = 0; i < lines[0].size(); ++i)
       for (int k = 0; k < kConns; ++k)
-        expected[k].push_back(reference.handle_line(lines[k][i]));
+        expected[k].push_back(reference.serve(lines[k][i]).to_line());
   }
 
   Service service(workers(kLoops));

@@ -1,6 +1,7 @@
 // Concurrent profile accumulation: many threads drive profiled and
 // unprofiled compile requests over a shared cell set through both service
-// entry points while readers poll the `profile` verb, then the daemon-wide
+// entry points (serve, and the event loop's try_serve_hot/serve_parsed split)
+// while readers poll the `profile` verb, then the daemon-wide
 // accumulators are compared EXACTLY against a single-threaded local
 // recompute of every distinct cell.  Works because execution is
 // exactly-once per cell key (coalescing + result cache), the simulator is
@@ -12,6 +13,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,14 +132,14 @@ TEST(ProfileConcurrency, AccumulatorsMatchLocalRecomputeExactly) {
   Service service(cfg);
 
   // 8 writers x every cell, half asking for the profile payload, entry
-  // point alternating between the pool path and the direct path; one reader
+  // point alternating between serve() and the event loop's split; one reader
   // polls the `profile` verb throughout (it must always parse and conserve).
   constexpr int kThreads = 8;
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
       const std::string line =
-          service.handle_line("{\"id\": 0, \"kind\": \"profile\"}");
+          service.serve("{\"id\": 0, \"kind\": \"profile\"}").to_line();
       const JsonValue v = parse_line(line);
       ASSERT_TRUE(v.find("ok")->as_bool());
       const JsonValue* p = v.find("profile");
@@ -159,9 +161,15 @@ TEST(ProfileConcurrency, AccumulatorsMatchLocalRecomputeExactly) {
         const bool profiled = (t + static_cast<int>(i)) % 2 == 0;
         const std::string line =
             compile_line(cells[idx], profiled, t * 1000 + static_cast<int>(i));
-        const std::string resp = (t % 2 == 0)
-                                     ? service.handle_line(line)
-                                     : service.serve(line).to_line();
+        std::string resp;
+        if (t % 2 == 0) {
+          resp = service.serve(line).to_line();
+        } else {
+          // The event loop's split: inline hot hit, else the shard worker.
+          Service::ParsedRequest p = service.parse_and_route(line);
+          std::optional<Reply> hot = service.try_serve_hot(p);
+          resp = (hot ? *hot : service.serve_parsed(std::move(p))).to_line();
+        }
         const JsonValue v = parse_line(resp);
         ASSERT_TRUE(v.find("ok")->as_bool()) << resp;
         const JsonValue* prof = v.find("profile");
@@ -180,7 +188,7 @@ TEST(ProfileConcurrency, AccumulatorsMatchLocalRecomputeExactly) {
   // Exactly-once execution per cell key makes the daemon totals equal the
   // local recompute, independent of interleaving.
   const JsonValue v =
-      parse_line(service.handle_line("{\"id\": 1, \"kind\": \"profile\"}"));
+      parse_line(service.serve("{\"id\": 1, \"kind\": \"profile\"}").to_line());
   const JsonValue* p = v.find("profile");
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->find("cells")->as_int(), static_cast<std::int64_t>(cells.size()));

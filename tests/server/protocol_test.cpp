@@ -54,6 +54,22 @@ TEST(Json, RejectsRawControlCharactersInStrings) {
   EXPECT_TRUE(JsonValue::parse(R"("a\nb")").has_value());
 }
 
+// Nesting is bounded at 64 levels: 64 parse, 65 are a parse error, and a
+// line of 50k '[' fails fast instead of recursing off the stack.
+TEST(Json, BoundsNestingDepth) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(JsonValue::parse(nested(64)).has_value());
+  std::string err;
+  EXPECT_FALSE(JsonValue::parse(nested(65), &err).has_value());
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+  EXPECT_FALSE(JsonValue::parse(std::string(50'000, '['), &err).has_value());
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+  EXPECT_FALSE(JsonValue::parse(R"({"a": )" + std::string(100, '{'), &err).has_value());
+}
+
 // --- Request parsing -------------------------------------------------------
 
 TEST(ParseRequest, CompileDefaults) {

@@ -209,6 +209,29 @@ TEST(Server, OverlongLineAndPipelinedBurstLeaveServerHealthy) {
   EXPECT_GE(service.counters().bad_request, 1u);
 }
 
+// A 50 KB line of '[' — well under the line limit, so the JSON reader sees
+// all of it — is answered bad_request on the same connection, and the
+// daemon keeps answering.
+TEST(Server, DeeplyNestedJsonLineIsBadRequestAndServerSurvives) {
+  Service service(workers(2));
+  Server server(service);
+  ASSERT_TRUE(server.start()) << server.error();
+
+  LineClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(client.send_line(std::string(50'000, '[')));
+  const auto reply = client.recv_line(30'000);
+  ASSERT_TRUE(reply.has_value()) << "deeply nested line got no reply";
+  const auto v = parse_ok(*reply);
+  EXPECT_FALSE(v.find("ok")->as_bool());
+  EXPECT_EQ(v.find("error")->find("kind")->as_string(), "bad_request") << *reply;
+
+  LineClient probe;
+  ASSERT_TRUE(probe.connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(probe.send_line(R"({"kind": "stats"})"));
+  EXPECT_TRUE(parse_ok(probe.recv_line().value_or("")).find("ok")->as_bool());
+}
+
 // Output backpressure: a client that pipelines 100k requests without reading
 // a reply stops being read once its queued replies pass the bound, instead of
 // growing the connection's output queue with every line.  Once it reads, it
