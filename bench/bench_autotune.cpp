@@ -31,6 +31,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -38,6 +39,7 @@
 #include "common/fixtures.hpp"
 #include "common/interp.hpp"
 #include "engine/cache.hpp"
+#include "engine/metrics.hpp"
 #include "engine/pool.hpp"
 #include "tune/tune.hpp"
 #include "workloads/suite.hpp"
@@ -63,6 +65,13 @@ struct FuzzSummary {
   std::uint64_t improved = 0;  // searches that beat the Lev4 seed
   double speedup_sum = 0.0;
 };
+
+// A pure counter of the global registry (0 before its first bump).
+std::uint64_t registry_count(std::string_view name) {
+  for (const auto& [n, stat] : engine::MetricsRegistry::global().snapshot())
+    if (n == name) return stat.count;
+  return 0;
+}
 
 [[noreturn]] void fail(const std::string& what) {
   std::fprintf(stderr, "bench_autotune: %s\n", what.c_str());
@@ -193,6 +202,8 @@ int main(int argc, char** argv) {
 
   // --- Suite: one search per workload at the service-default budget --------
   std::vector<SuiteRow> suite;
+  const std::uint64_t compiles_before = registry_count("tune.compiles");
+  const std::uint64_t reused_before = registry_count("tune.reused");
   std::printf("%-8s %8s %8s %8s  %-28s %5s %6s %6s\n", "workload", "lev4",
               "best", "speedup", "best config", "simd", "pruned", "mape%");
   for (const Workload& w : workload_suite()) {
@@ -211,6 +222,15 @@ int main(int argc, char** argv) {
                 100.0 * r.model_mape);
     suite.push_back(SuiteRow{w.name, r});
   }
+  std::uint64_t suite_simulated = 0;
+  for (const SuiteRow& row : suite) suite_simulated += row.result.simulated;
+  std::printf("suite: %llu candidate compiles; %llu of %llu measurements reused "
+              "an identical program's simulation\n",
+              static_cast<unsigned long long>(registry_count("tune.compiles") -
+                                              compiles_before),
+              static_cast<unsigned long long>(registry_count("tune.reused") -
+                                              reused_before),
+              static_cast<unsigned long long>(suite_simulated));
 
   // --- Pruning audit: pruned vs. exhaustive on the fixed sub-grid ----------
   std::vector<AuditRow> audits;

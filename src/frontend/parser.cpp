@@ -15,6 +15,12 @@ namespace {
 // within a handful of levels.
 constexpr int kMaxExprDepth = 256;
 
+// Loops nested deeper than this are a parse error.  Each loop body recurses
+// the parser, the lowering and the loop analyses behind them: 20k nested
+// loops crash the compiler and 10k keep it busy for minutes.  The paper's
+// nests are at most a few loops deep.
+constexpr int kMaxLoopDepth = 64;
+
 class Parser {
  public:
   Parser(std::vector<Token> toks, DiagnosticEngine& diags)
@@ -202,6 +208,11 @@ class Parser {
       }
     }
     if (!expect(Tok::LBrace, "to open loop body")) return nullptr;
+    if (loop_depth_ == kMaxLoopDepth) {
+      error(strformat("loops nested deeper than %d levels", kMaxLoopDepth));
+      return nullptr;
+    }
+    ++loop_depth_;
     while (cur().kind != Tok::RBrace) {
       if (cur().kind == Tok::End) {
         error("unterminated loop body");
@@ -211,6 +222,7 @@ class Parser {
       if (!inner) return nullptr;
       s->body.push_back(std::move(inner));
     }
+    --loop_depth_;
     next();  // '}'
     return s;
   }
@@ -404,6 +416,7 @@ class Parser {
   DiagnosticEngine* diags_;
   std::size_t idx_ = 0;
   int expr_depth_ = 0;  // see kMaxExprDepth
+  int loop_depth_ = 0;  // see kMaxLoopDepth
 };
 
 }  // namespace

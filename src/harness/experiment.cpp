@@ -18,23 +18,37 @@
 
 namespace ilp {
 
-Expected<CompiledLoop> try_compile_workload(const Workload& w, OptLevel level,
-                                            const MachineModel& m,
-                                            const CompileOptions& opts,
-                                            TransformStats* stats) {
+Expected<Function> try_lower_workload(const Workload& w) {
   DiagnosticEngine diags;
   auto r = dsl::compile(w.source, diags);
   if (!r)
     return Error{strformat("workload '%s' failed to compile: %s", w.name.c_str(),
                            diags.to_string().c_str())};
+  return std::move(r->fn);
+}
+
+Expected<Function> try_compile_lowered(Function fn, const Workload& w, OptLevel level,
+                                       const MachineModel& m, const CompileOptions& opts,
+                                       TransformStats* stats) {
   try {
-    compile_with_transforms(r->fn, TransformSet::for_level(level), m, opts, stats);
+    compile_with_transforms(fn, TransformSet::for_level(level), m, opts, stats);
   } catch (const std::exception& e) {
     return Error{strformat("workload '%s' failed at %s: %s", w.name.c_str(),
                            level_name(level), e.what())};
   }
+  return fn;
+}
+
+Expected<CompiledLoop> try_compile_workload(const Workload& w, OptLevel level,
+                                            const MachineModel& m,
+                                            const CompileOptions& opts,
+                                            TransformStats* stats) {
+  auto lowered = try_lower_workload(w);
+  if (!lowered) return Error{lowered.error_message()};
+  auto compiled = try_compile_lowered(std::move(*lowered), w, level, m, opts, stats);
+  if (!compiled) return Error{compiled.error_message()};
   CompiledLoop out;
-  out.fn = std::move(r->fn);
+  out.fn = std::move(*compiled);
   out.regs = measure_register_usage(out.fn);
   return out;
 }

@@ -140,6 +140,18 @@ Expected<CompiledLoop> try_compile_workload(const Workload& w, OptLevel level,
                                             const MachineModel& m,
                                             const CompileOptions& opts = {},
                                             TransformStats* stats = nullptr);
+
+// The two halves of try_compile_workload, for callers that compile one source
+// many times (the autotuner): lower the DSL once, then run the pipeline on a
+// copy of the lowered function per configuration.  try_compile_lowered skips
+// the register-usage measurement; its errors read exactly like
+// try_compile_workload's.
+Expected<Function> try_lower_workload(const Workload& w);
+Expected<Function> try_compile_lowered(Function fn, const Workload& w, OptLevel level,
+                                       const MachineModel& m,
+                                       const CompileOptions& opts = {},
+                                       TransformStats* stats = nullptr);
+
 Expected<std::uint64_t> try_simulate_cycles(const Function& fn, const MachineModel& m);
 
 // Profiled variant: same seeded run, but every cycle x issue slot is

@@ -40,7 +40,9 @@
 //   --max-sims N                      simulation budget, seeds included
 //   --no-cost-model                   simulate every candidate (exhaustive)
 //   (--issue/--jobs/--cache-dir/--json apply; the cache makes repeat and
-//   overlapping tuning runs nearly free)
+//   overlapping tuning runs nearly free; --metrics writes the registry,
+//   whose tune.compiles / tune.reused count the candidate compiles and the
+//   simulations saved by reusing an identical program's measurement)
 //
 // Exit codes: 0 ok, 1 usage, 2 compile error, 3 simulation error.
 #include <cstdio>
@@ -51,6 +53,7 @@
 #include <string>
 #include <thread>
 
+#include "engine/metrics.hpp"
 #include "engine/trace.hpp"
 #include "frontend/classify.hpp"
 #include "frontend/compile.hpp"
@@ -135,7 +138,7 @@ int run_study_mode(ilp::SchedulerKind scheduler, int jobs, const std::string& js
 // pool, memoized through the (optionally persistent) result cache.
 int run_autotune_mode(const std::string& source, const ilp::tune::TuneOptions& topts,
                       int jobs, const std::string& cache_dir,
-                      const std::string& json_path) {
+                      const std::string& json_path, const std::string& metrics_path) {
   using namespace ilp;
   engine::ThreadPool pool(jobs == 0 ? std::thread::hardware_concurrency()
                                     : static_cast<unsigned>(jobs));
@@ -167,6 +170,12 @@ int run_autotune_mode(const std::string& source, const ilp::tune::TuneOptions& t
       return 3;
     }
     out << r.to_json();
+  }
+  if (!metrics_path.empty()) {
+    std::ofstream out(metrics_path, std::ios::trunc);
+    if (out)
+      out << "{\n  \"passes\": " << engine::MetricsRegistry::global().to_json(2)
+          << "\n}\n";
   }
   return 0;
 }
@@ -376,7 +385,7 @@ int main(int argc, char** argv) {
 
   if (autotune_mode) {
     topts.issue = issue;
-    return run_autotune_mode(source, topts, jobs, cache_dir, json_path);
+    return run_autotune_mode(source, topts, jobs, cache_dir, json_path, metrics_path);
   }
 
   DiagnosticEngine diags;

@@ -1,18 +1,21 @@
 #include "tune/tune.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <future>
 #include <numeric>
 #include <set>
+#include <string_view>
+#include <type_traits>
 
+#include "engine/metrics.hpp"
 #include "harness/cache_key.hpp"
-#include "sim/profile.hpp"
 #include "harness/experiment.hpp"
+#include "sim/profile.hpp"
 #include "support/strings.hpp"
-#include "workloads/suite.hpp"
 
 namespace ilp::tune {
 
@@ -22,13 +25,6 @@ namespace {
 // order — and therefore every downstream tie-break — is deterministic.
 constexpr std::array<int, 5> kUnrollGrid = {1, 2, 4, 8, 16};
 constexpr std::array<int, 4> kTileGrid = {4, 8, 16, 32};
-
-Workload adhoc_workload(const std::string& source) {
-  Workload w;
-  w.name = "tune";
-  w.source = source;
-  return w;
-}
 
 }  // namespace
 
@@ -124,20 +120,29 @@ std::uint64_t tune_cell_key(const std::string& source, int issue,
   return h.digest();
 }
 
-Evaluator::Measurement measure_one(const std::string& source, int issue,
-                                   const TuneConfig& c) {
+// A cached measurement under `key`, or nullopt.  An entry that does not
+// decode (stale schema) is dropped so the fresh result replaces it.
+std::optional<Evaluator::Measurement> cached_measurement(engine::ResultCache& cache,
+                                                         std::uint64_t key) {
+  const auto payload = cache.lookup(key);
+  if (!payload) return std::nullopt;
   Evaluator::Measurement out;
-  const MachineModel m = MachineModel::issue(issue);
-  auto compiled =
-      try_compile_workload(adhoc_workload(source), c.level, m, to_compile_options(c));
-  if (!compiled) {
-    out.error = compiled.error_message();
-    return out;
+  if (std::sscanf(payload->c_str(), "tune-v1 ok %" SCNu64 " %lf", &out.cycles,
+                  &out.mem_wait) != 2) {
+    cache.invalidate(key);
+    return std::nullopt;
   }
+  out.ok = true;
+  out.cache_hit = true;
+  return out;
+}
+
+Evaluator::Measurement simulate(const Function& fn, const MachineModel& m) {
+  Evaluator::Measurement out;
   // Profiled run: the conservation check is the tuner's per-candidate
   // oracle — a simulated result whose slot accounting does not close is a
   // bug, never a winner.
-  auto sim = try_simulate_profile(compiled->fn, m);
+  auto sim = try_simulate_profile(fn, m);
   if (!sim) {
     out.error = sim.error_message();
     return out;
@@ -152,72 +157,224 @@ Evaluator::Measurement measure_one(const std::string& source, int issue,
   return out;
 }
 
+// Runs job(0..n-1) inline (no pool, or a single job) or on the pool, and
+// returns the results by index, never by completion order.
+template <typename Job>
+auto run_batch(engine::ThreadPool* pool, std::size_t n, const Job& job)
+    -> std::vector<decltype(job(std::size_t{0}))> {
+  using R = decltype(job(std::size_t{0}));
+  std::vector<R> out(n);
+  if (pool == nullptr || n < 2) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = job(i);
+    return out;
+  }
+  std::vector<std::future<R>> futures;
+  futures.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    futures.push_back(pool->submit([&job, i] { return job(i); }));
+  // Every job references this frame: let all finish before one rethrows.
+  for (auto& f : futures) f.wait();
+  for (std::size_t i = 0; i < n; ++i) out[i] = futures[i].get();
+  return out;
+}
+
+// Appends fixed-width fields and length-prefixed strings, so distinct field
+// sequences never encode to the same bytes.
+class KeyWriter {
+ public:
+  explicit KeyWriter(std::string& out) : out_(out) {}
+  template <typename T>
+  void put(T v) {
+    static_assert(std::is_integral_v<T> || std::is_enum_v<T>);
+    out_.append(reinterpret_cast<const char*>(&v), sizeof v);
+  }
+  void put_f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
+  void put_str(std::string_view s) {
+    put(static_cast<std::uint64_t>(s.size()));
+    out_.append(s);
+  }
+  void put_reg(const Reg& r) {
+    put(r.cls);
+    put(r.id);
+  }
+
+ private:
+  std::string& out_;
+};
+
 }  // namespace
+
+std::string program_key(const Function& fn, int issue) {
+  std::string out;
+  out.reserve(128 + fn.num_insts() * 48);
+  KeyWriter w(out);
+  w.put(static_cast<std::int32_t>(issue));
+  w.put_str(fn.name());
+  w.put(fn.num_regs(RegClass::Int));
+  w.put(fn.num_regs(RegClass::Fp));
+  w.put(static_cast<std::uint64_t>(fn.live_out().size()));
+  for (const Reg& r : fn.live_out()) w.put_reg(r);
+  w.put(static_cast<std::uint64_t>(fn.arrays().size()));
+  for (const ArrayInfo& a : fn.arrays()) {
+    w.put_str(a.name);
+    w.put(a.base);
+    w.put(a.elem_size);
+    w.put(a.length);
+    w.put(a.is_fp);
+  }
+  w.put(static_cast<std::uint64_t>(fn.num_blocks()));
+  for (const Block& b : fn.blocks()) {
+    w.put(b.id);
+    w.put_str(b.name);
+    w.put(static_cast<std::uint64_t>(b.insts.size()));
+    for (const Instruction& in : b.insts) {
+      w.put(in.op);
+      w.put_reg(in.dst);
+      w.put_reg(in.src1);
+      w.put_reg(in.src2);
+      w.put(in.src2_is_imm);
+      w.put(in.ival);
+      w.put_f64(in.fval);
+      w.put(in.array_id);
+      w.put(in.target);
+      w.put(in.uid);
+    }
+  }
+  return out;
+}
+
+LocalEvaluator::LocalEvaluator(engine::ThreadPool* pool, engine::ResultCache* cache)
+    : pool_(pool), cache_(cache) {
+  workload_.name = "tune";
+}
+
+void LocalEvaluator::bind(const std::string& source) {
+  if (lowered_ && workload_.source == source) return;
+  held_.clear();
+  memo_.clear();
+  workload_.source = source;
+  lowered_ = try_lower_workload(workload_);
+}
+
+Expected<Function> LocalEvaluator::compile(const MachineModel& m,
+                                           const TuneConfig& c) const {
+  if (!lowered_->has_value()) return Error{lowered_->error_message()};
+  engine::MetricsRegistry::global().add_count("tune.compiles");
+  return try_compile_lowered(**lowered_, workload_, c.level, m, to_compile_options(c));
+}
 
 std::vector<Evaluator::Analysis> LocalEvaluator::analyze(
     const std::string& source, int issue, const std::vector<TuneConfig>& cfgs) {
+  bind(source);
+  held_.clear();  // the previous frontier's candidates that were never measured
   const MachineModel m = MachineModel::issue(issue);
-  auto one = [&source, &m](const TuneConfig& c) {
-    Analysis a;
-    auto compiled = try_compile_workload(adhoc_workload(source), c.level, m,
-                                         to_compile_options(c));
-    if (!compiled) {
-      a.error = compiled.error_message();
-      return a;
-    }
-    a.ok = true;
-    a.features = extract_features(compiled->fn, m);
-    return a;
+  struct Compiled {
+    Analysis analysis;
+    std::optional<Function> fn;
   };
+  auto compiled = run_batch(pool_, cfgs.size(), [&](std::size_t i) {
+    Compiled c;
+    auto fn = compile(m, cfgs[i]);
+    if (!fn) {
+      c.analysis.error = fn.error_message();
+      return c;
+    }
+    c.analysis.ok = true;
+    c.analysis.features = extract_features(*fn, m);
+    c.fn = std::move(*fn);
+    return c;
+  });
   std::vector<Analysis> out(cfgs.size());
-  if (pool_ == nullptr || cfgs.size() < 2) {
-    for (std::size_t i = 0; i < cfgs.size(); ++i) out[i] = one(cfgs[i]);
-    return out;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    if (compiled[i].fn)
+      held_.insert_or_assign({cfgs[i].order_key(), issue}, std::move(*compiled[i].fn));
+    out[i] = std::move(compiled[i].analysis);
   }
-  std::vector<std::future<Analysis>> futures;
-  futures.reserve(cfgs.size());
-  for (const TuneConfig& c : cfgs)
-    futures.push_back(pool_->submit([&one, c] { return one(c); }));
-  for (std::size_t i = 0; i < cfgs.size(); ++i) out[i] = futures[i].get();
   return out;
 }
 
 std::vector<Evaluator::Measurement> LocalEvaluator::measure(
     const std::string& source, int issue, const std::vector<TuneConfig>& cfgs) {
-  auto one = [this, &source, issue](const TuneConfig& c) {
-    Measurement out;
-    const std::uint64_t key = cache_ ? tune_cell_key(source, issue, c) : 0;
+  bind(source);
+  const MachineModel m = MachineModel::issue(issue);
+  // Candidates analyze() compiled move into this batch and are freed once
+  // measured; the rest compile here.
+  std::vector<std::optional<Function>> given(cfgs.size());
+  for (std::size_t i = 0; i < cfgs.size(); ++i)
+    if (auto it = held_.find({cfgs[i].order_key(), issue}); it != held_.end()) {
+      given[i] = std::move(it->second);
+      held_.erase(it);
+    }
+
+  // 1. The config-keyed result cache; on a miss, the compiled program.
+  struct Pending {
+    Measurement meas;  // final unless `program` is set
+    std::uint64_t cell_key = 0;
+    std::string program;  // program_key of `fn`, still to be measured
+    Function fn;
+  };
+  auto pending = run_batch(pool_, cfgs.size(), [&](std::size_t i) {
+    Pending p;
     if (cache_ != nullptr) {
-      if (auto payload = cache_->lookup(key)) {
-        std::uint64_t cycles = 0;
-        double mem_wait = 0.0;
-        if (std::sscanf(payload->c_str(), "tune-v1 ok %" SCNu64 " %lf", &cycles,
-                        &mem_wait) == 2) {
-          out.ok = true;
-          out.cycles = cycles;
-          out.mem_wait = mem_wait;
-          out.cache_hit = true;
-          return out;
-        }
-        cache_->invalidate(key);  // stale schema or an encoded error: recompute
+      p.cell_key = tune_cell_key(source, issue, cfgs[i]);
+      if (auto hit = cached_measurement(*cache_, p.cell_key)) {
+        p.meas = *hit;
+        return p;
       }
     }
-    out = measure_one(source, issue, c);
-    if (cache_ != nullptr && out.ok)
-      cache_->store(key, strformat("tune-v1 ok %" PRIu64 " %.9f", out.cycles,
-                                   out.mem_wait));
-    return out;
-  };
-  std::vector<Measurement> out(cfgs.size());
-  if (pool_ == nullptr || cfgs.size() < 2) {
-    for (std::size_t i = 0; i < cfgs.size(); ++i) out[i] = one(cfgs[i]);
-    return out;
+    auto fn = given[i] ? Expected<Function>(std::move(*given[i])) : compile(m, cfgs[i]);
+    if (!fn) {
+      p.meas.error = fn.error_message();
+      return p;
+    }
+    p.fn = std::move(*fn);
+    p.program = program_key(p.fn, issue);
+    return p;
+  });
+
+  // 2. The program memo: a program this source already simulated, or an
+  //    earlier twin in this batch, lends its measurement.
+  std::vector<std::size_t> to_sim;  // indices of the batch's distinct programs
+  std::unordered_map<std::string_view, std::size_t> first_of;
+  std::vector<std::size_t> twins;  // indices copying their first twin
+  std::uint64_t reused = 0;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    Pending& p = pending[i];
+    if (p.program.empty()) continue;
+    if (auto it = memo_.find(p.program); it != memo_.end()) {
+      p.meas = it->second;
+      p.fn = Function{};
+      ++reused;
+    } else if (!first_of.try_emplace(p.program, i).second) {
+      p.fn = Function{};
+      twins.push_back(i);
+      ++reused;
+    } else {
+      to_sim.push_back(i);
+    }
   }
-  std::vector<std::future<Measurement>> futures;
-  futures.reserve(cfgs.size());
-  for (const TuneConfig& c : cfgs)
-    futures.push_back(pool_->submit([&one, c] { return one(c); }));
-  for (std::size_t i = 0; i < cfgs.size(); ++i) out[i] = futures[i].get();
+
+  // 3. A profiled simulation of each remaining distinct program.
+  auto sims = run_batch(pool_, to_sim.size(), [&](std::size_t j) {
+    Pending& p = pending[to_sim[j]];
+    Measurement meas = simulate(p.fn, m);
+    p.fn = Function{};
+    return meas;
+  });
+  for (std::size_t j = 0; j < to_sim.size(); ++j) pending[to_sim[j]].meas = std::move(sims[j]);
+  for (const std::size_t i : twins) pending[i].meas = pending[first_of.at(pending[i].program)].meas;
+  for (const std::size_t i : to_sim)
+    memo_.emplace(std::move(pending[i].program), pending[i].meas);
+  if (reused != 0) engine::MetricsRegistry::global().add_count("tune.reused", reused);
+
+  std::vector<Measurement> out(cfgs.size());
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    Pending& p = pending[i];
+    if (cache_ != nullptr && p.meas.ok && !p.meas.cache_hit)
+      cache_->store(p.cell_key, strformat("tune-v1 ok %" PRIu64 " %.9f", p.meas.cycles,
+                                          p.meas.mem_wait));
+    out[i] = std::move(p.meas);
+  }
   return out;
 }
 

@@ -24,19 +24,32 @@
 // on content hash.  Evaluation is abstracted behind `Evaluator` so the same
 // search core runs in-process (ilpc/bench: thread pool + result cache) and
 // inside ilpd (shard-pinned jobs sharing the service's cell cache).
+//
+// The in-process LocalEvaluator does each piece of a search's work once: it
+// lowers the source once, measures the very candidates analyze() compiled,
+// and simulates each distinct compiled program once (many configurations
+// compile to the same code — a nest pass that does not apply, an unroll
+// factor above the trip count).  None of this changes what a search decides.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "engine/cache.hpp"
 #include "engine/pool.hpp"
+#include "ir/function.hpp"
 #include "sched/modulo/modulo.hpp"
+#include "support/expected.hpp"
 #include "trans/level.hpp"
 #include "trans/nest/nest.hpp"
 #include "tune/costmodel.hpp"
+#include "workloads/suite.hpp"
 
 namespace ilp::tune {
 
@@ -143,21 +156,39 @@ class Evaluator {
   // ranks from).
   virtual std::vector<Analysis> analyze(const std::string& source, int issue,
                                         const std::vector<TuneConfig>& cfgs) = 0;
-  // Compile + simulate; memoized through a content-addressed cache.
+  // The simulated cycles of each config's compiled program.  An evaluator
+  // may reuse what it already has — a compile from analyze(), a cached or
+  // identical program's measurement — but the result must equal a fresh
+  // compile + simulate; measure() without a prior analyze() must work.
   virtual std::vector<Measurement> measure(const std::string& source, int issue,
                                            const std::vector<TuneConfig>& cfgs) = 0;
 };
+
+// Exact encoding of everything the simulator reads from `fn` run on the
+// issue-`issue` machine: every instruction field (doubles by bit pattern),
+// block layout and names, arrays, live-outs and register counts.  Programs
+// with equal keys simulate identically — cycles, state and cycle profile.
+[[nodiscard]] std::string program_key(const Function& fn, int issue);
 
 // In-process evaluator for ilpc/bench/tests: optional thread pool for
 // concurrency (null: serial) and optional result cache for memoization
 // (null: none).  Measurements are cached under a "tune-cell" domain key
 // derived from the same shared salt builder as the service cells, and every
 // simulation runs profiled with the conservation check enforced.
+//
+// Per source (state resets when a call names another one) the evaluator
+// lowers the DSL once and copies the lowered function for each candidate.
+// analyze() keeps each compiled candidate until measure() takes it or the
+// next analyze() drops it, so the held compiles never exceed one frontier.
+// measure() looks each config up in the result cache, then in a program
+// memo keyed by program_key() (twins within one batch included), and only
+// then simulates.  A memo reuse is not a cache hit.  The registry counters
+// "tune.compiles" and "tune.reused" count candidate compiles and the
+// simulations the memo saved.
 class LocalEvaluator : public Evaluator {
  public:
   explicit LocalEvaluator(engine::ThreadPool* pool = nullptr,
-                          engine::ResultCache* cache = nullptr)
-      : pool_(pool), cache_(cache) {}
+                          engine::ResultCache* cache = nullptr);
 
   std::vector<Analysis> analyze(const std::string& source, int issue,
                                 const std::vector<TuneConfig>& cfgs) override;
@@ -165,8 +196,20 @@ class LocalEvaluator : public Evaluator {
                                    const std::vector<TuneConfig>& cfgs) override;
 
  private:
+  // Resets the per-source state below unless it already belongs to `source`.
+  void bind(const std::string& source);
+  // The bound source compiled at `c`; thread-safe between bind() calls.
+  [[nodiscard]] Expected<Function> compile(const MachineModel& m,
+                                           const TuneConfig& c) const;
+
   engine::ThreadPool* pool_;
   engine::ResultCache* cache_;
+  Workload workload_;  // the bound source, named for error messages
+  std::optional<Expected<Function>> lowered_;  // unset until the first bind
+  // analyze()'s compiled candidates by (order_key, issue).
+  std::map<std::pair<std::uint64_t, int>, Function> held_;
+  // program_key -> the measurement of that program.
+  std::unordered_map<std::string, Measurement> memo_;
 };
 
 TuneResult autotune(const std::string& source, const TuneOptions& opts,

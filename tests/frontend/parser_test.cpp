@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/fixtures.hpp"
+#include "support/strings.hpp"
 #include "workloads/nest_suite.hpp"
 #include "workloads/suite.hpp"
 
@@ -170,7 +171,29 @@ TEST(Parser, DeepExpressionNestingIsReportedNotFatal) {
   EXPECT_TRUE(try_parse(ok + ";\n").has_value());
 }
 
-// The bound sits far above anything real: every suite and nest-suite
+// `depth` loops nested around one assignment.
+std::string nested_loops(int depth) {
+  std::string src = "program p\nscalar s fp out\n";
+  for (int k = 0; k < depth; ++k) src += strformat("loop i%d = 0 to 1 {\n", k);
+  src += "s = 1.0;\n";
+  for (int k = 0; k < depth; ++k) src += "}\n";
+  return src;
+}
+
+// Hostile loop nesting is a diagnostic too: 20k nested loops used to crash
+// the compiler behind the parser (and 10k kept it busy for minutes).  A
+// 64-deep nest, the bound, still parses.
+TEST(Parser, DeepLoopNestingIsReportedNotFatal) {
+  for (const int depth : {65, 20'000}) {
+    DiagnosticEngine d;
+    EXPECT_FALSE(parse(nested_loops(depth), d).has_value()) << depth;
+    EXPECT_NE(d.to_string().find("loops nested deeper than"), std::string::npos)
+        << d.to_string().substr(0, 200);
+  }
+  EXPECT_TRUE(try_parse(nested_loops(64)).has_value());
+}
+
+// Both bounds sit far above anything real: every suite and nest-suite
 // workload and every program the fuzz generators produce still parses.
 TEST(Parser, NestingBoundAdmitsSuiteAndFuzzCorpus) {
   for (const auto* suite : {&workload_suite(), &nest_suite()})

@@ -326,8 +326,9 @@ TEST(Service, MalformedAndUnknownInputsProduceProtocolErrors) {
 }
 
 // Hostile nesting in either language a request carries is a protocol error,
-// not a crash: 50k '[' in the JSON is bad_request, 50k '(' or a 20k-term sum
-// in the DSL source is compile_error, and the service keeps answering.
+// not a crash: 50k '[' in the JSON is bad_request, 50k '(', a 20k-term sum
+// or 10k nested loops in the DSL source is compile_error, and the service
+// keeps answering.
 TEST(Service, DeepNestingIsAnErrorNotACrash) {
   Service service(config(1));
   EXPECT_EQ(error_kind_of(parse_ok(service.serve(std::string(50'000, '[')).to_line())),
@@ -339,9 +340,13 @@ TEST(Service, DeepNestingIsAnErrorNotACrash) {
   const std::string head = "program p\nscalar s int out\ns = ";
   std::string long_sum = head + "1";
   for (int i = 0; i < 20'000; ++i) long_sum += "+1";
+  std::string deep_loops = "program p\nscalar s fp out\n";
+  for (int k = 0; k < 10'000; ++k) deep_loops += strformat("loop i%d = 0 to 1 {\n", k);
+  deep_loops += "s = 1.0;\n";
+  for (int k = 0; k < 10'000; ++k) deep_loops += "}\n";
   for (const std::string& source :
        {head + std::string(50'000, '(') + "1" + std::string(50'000, ')') + ";\n",
-        long_sum + ";\n"}) {
+        long_sum + ";\n", deep_loops}) {
     const auto v = parse_ok(
         service.serve(R"({"kind": "compile", "source": ")" + json_escape(source) +
                       R"("})")
@@ -353,7 +358,7 @@ TEST(Service, DeepNestingIsAnErrorNotACrash) {
   EXPECT_TRUE(stats.find("ok")->as_bool());
   const ServiceCounters c = service.counters();
   EXPECT_EQ(c.bad_request, 2u);
-  EXPECT_EQ(c.compile_errors, 2u);
+  EXPECT_EQ(c.compile_errors, 3u);
   EXPECT_EQ(service.inflight_cells(), 0u);
 }
 

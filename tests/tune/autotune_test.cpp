@@ -1,18 +1,25 @@
 // Autotuner tests: deterministic search, the never-worse-than-Lev4 floor,
-// cache-driven repeat tuning, the fixed-subgrid pruning audit, and the
-// differential interpreter oracle over tuned fuzz programs.
+// cache-driven repeat tuning, the fixed-subgrid pruning audit, the
+// differential interpreter oracle over tuned fuzz programs, and the
+// fresh-compile oracle for LocalEvaluator's compile-once / simulate-once
+// reuse.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 
 #include "common/fixtures.hpp"
 #include "common/interp.hpp"
 #include "engine/cache.hpp"
+#include "engine/metrics.hpp"
 #include "engine/pool.hpp"
 #include "frontend/compile.hpp"
 #include "harness/experiment.hpp"
+#include "sim/profile.hpp"
 #include "sim/simulator.hpp"
+#include "support/strings.hpp"
 #include "tune/tune.hpp"
 #include "workloads/suite.hpp"
 
@@ -229,6 +236,227 @@ TEST(Autotune, TunedFuzzProgramsPreserveSemantics) {
     ASSERT_EQ(diff, "") << "seed=" << seed << " config=" << r.best.name()
                         << "\n" << src;
   }
+}
+
+// --- Compile once, simulate each distinct program once ----------------------
+
+Workload adhoc(const std::string& source) {
+  Workload w;
+  w.name = "tune";
+  w.source = source;
+  return w;
+}
+
+// The reference evaluator: compiles from source on every call and reuses
+// nothing — no held compiles, no program memo, no cache.
+class FreshEvaluator : public tune::Evaluator {
+ public:
+  std::vector<Analysis> analyze(const std::string& source, int issue,
+                                const std::vector<tune::TuneConfig>& cfgs) override {
+    const MachineModel m = MachineModel::issue(issue);
+    std::vector<Analysis> out(cfgs.size());
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      auto c = try_compile_workload(adhoc(source), cfgs[i].level, m,
+                                    tune::to_compile_options(cfgs[i]));
+      if (!c) {
+        out[i].error = c.error_message();
+        continue;
+      }
+      out[i].ok = true;
+      out[i].features = tune::extract_features(c->fn, m);
+    }
+    return out;
+  }
+  std::vector<Measurement> measure(const std::string& source, int issue,
+                                   const std::vector<tune::TuneConfig>& cfgs) override {
+    const MachineModel m = MachineModel::issue(issue);
+    std::vector<Measurement> out(cfgs.size());
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      auto c = try_compile_workload(adhoc(source), cfgs[i].level, m,
+                                    tune::to_compile_options(cfgs[i]));
+      if (!c) {
+        out[i].error = c.error_message();
+        continue;
+      }
+      auto sim = try_simulate_profile(c->fn, m);
+      if (!sim) {
+        out[i].error = sim.error_message();
+        continue;
+      }
+      const std::string violation = sim->profile.check_conservation();
+      if (!violation.empty()) {
+        out[i].error = "profile conservation violated: " + violation;
+        continue;
+      }
+      out[i].ok = true;
+      out[i].cycles = sim->result.cycles;
+      out[i].mem_wait = sim->profile.fraction(StallCause::MemWait);
+    }
+    return out;
+  }
+};
+
+std::vector<std::pair<std::string, std::string>> suite_and_fuzz_sources() {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const Workload& w : workload_suite()) out.emplace_back(w.name, w.source);
+  const int n = fuzz_seed_count(12);
+  for (int seed = 1; seed <= n; ++seed)
+    out.emplace_back(strformat("fuzz-%d", seed),
+                     random_program(static_cast<std::uint64_t>(seed)));
+  return out;
+}
+
+// (a) Reuse never changes a search: over every suite nest and fuzz program,
+// LocalEvaluator — serial, pooled, and pooled again over its own warm memo —
+// returns exactly what compiling and simulating every candidate afresh
+// returns, down to the cost model's error (to_json carries model_mape).
+TEST(Autotune, LocalEvaluatorMatchesFreshCompilesOnSuiteAndFuzz) {
+  engine::ThreadPool pool(4);
+  const tune::TuneOptions opts;  // the service defaults
+  for (const auto& [name, src] : suite_and_fuzz_sources()) {
+    FreshEvaluator fresh;
+    const tune::TuneResult want = tune::autotune(src, opts, fresh);
+    ASSERT_TRUE(want.ok) << name << ": " << want.error;
+
+    tune::LocalEvaluator serial;
+    const tune::TuneResult got = tune::autotune(src, opts, serial);
+    EXPECT_EQ(got.signature(), want.signature()) << name;
+    EXPECT_EQ(got.to_json(), want.to_json()) << name;
+
+    tune::LocalEvaluator pooled(&pool);
+    for (int pass = 0; pass < 2; ++pass) {
+      const tune::TuneResult p = tune::autotune(src, opts, pooled);
+      EXPECT_EQ(p.signature(), want.signature()) << name << " pass " << pass;
+      EXPECT_EQ(p.to_json(), want.to_json()) << name << " pass " << pass;
+    }
+  }
+}
+
+// measure() on configs analyze() never saw compiles them itself, and an
+// analyze() of another source drops the first source's state.
+TEST(Autotune, MeasureWithoutAnalyzeAndSourceSwitchMatchFresh) {
+  const std::vector<tune::TuneConfig> grid = tune::default_audit_grid();
+  FreshEvaluator fresh;
+  tune::LocalEvaluator local;
+  for (const char* name : {"APS-1", "NAS-2", "APS-1"}) {
+    const std::string& src = suite_source(name);
+    const auto want = fresh.measure(src, 8, grid);
+    const auto got = local.measure(src, 8, grid);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      EXPECT_EQ(got[i].ok, want[i].ok) << name << " " << grid[i].name();
+      EXPECT_EQ(got[i].cycles, want[i].cycles) << name << " " << grid[i].name();
+      EXPECT_EQ(got[i].mem_wait, want[i].mem_wait) << name << " " << grid[i].name();
+      EXPECT_FALSE(got[i].cache_hit);
+    }
+  }
+  const auto broken = local.measure("loop { not a program", 8, grid);
+  const auto broken_fresh = fresh.measure("loop { not a program", 8, grid);
+  EXPECT_FALSE(broken[0].ok);
+  EXPECT_EQ(broken[0].error, broken_fresh[0].error);
+}
+
+// A two-instruction-plus-load kernel for the key exactness checks.
+Function key_probe(const char* array_name, double imm, bool swapped) {
+  Function fn("probe");
+  const std::int32_t arr = fn.add_array({array_name, 4096, 8, 16, true});
+  const BlockId b = fn.add_block("entry");
+  const Reg base = fn.new_int_reg();
+  const Reg x = fn.new_fp_reg();
+  const Reg y = fn.new_fp_reg();
+  std::vector<Instruction>& insts = fn.block(b).insts;
+  insts.push_back(make_ldi(base, 4096));
+  insts.push_back(make_fldi(x, imm));
+  insts.push_back(make_load(Opcode::FLD, y, base, 8, arr));
+  insts.push_back(make_ret());
+  fn.add_live_out(x);
+  fn.add_live_out(y);
+  fn.renumber();
+  if (swapped) std::swap(insts[1], insts[2]);
+  return fn;
+}
+
+std::string describe(const SimResult& r) {
+  std::string out = strformat("ok=%d cycles=%llu insts=%llu branches=%llu stalls=%llu",
+                              r.ok ? 1 : 0, static_cast<unsigned long long>(r.cycles),
+                              static_cast<unsigned long long>(r.instructions),
+                              static_cast<unsigned long long>(r.branches),
+                              static_cast<unsigned long long>(r.stall_cycles));
+  for (const std::int64_t v : r.regs.ints) out += strformat(" i%lld", static_cast<long long>(v));
+  for (const double v : r.regs.fps) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    out += strformat(" f%016llx", static_cast<unsigned long long>(bits));
+  }
+  return out;
+}
+
+// (b) The program memo's key is exact: programs differing only in an array
+// name, a -0.0 vs 0.0 immediate (equal as doubles), the order of two
+// instructions or the issue width get distinct keys.
+TEST(Autotune, ProgramKeyDistinguishesNearTwins) {
+  const std::string base = tune::program_key(key_probe("a", 0.0, false), 8);
+  EXPECT_EQ(base, tune::program_key(key_probe("a", 0.0, false), 8));
+  EXPECT_NE(base, tune::program_key(key_probe("b", 0.0, false), 8));
+  EXPECT_NE(base, tune::program_key(key_probe("a", -0.0, false), 8));
+  EXPECT_NE(base, tune::program_key(key_probe("a", 0.0, true), 8));
+  EXPECT_NE(base, tune::program_key(key_probe("a", 0.0, false), 4));
+}
+
+// (b) Every reuse the memo makes on the suite is sound: each simulated
+// config whose compiled program shares its key with an earlier one
+// re-simulates to an identical SimResult, final memory and CycleProfile.
+// The "tune.reused" counter equals the number of such repeats, so the
+// search simulated each distinct program exactly once.
+TEST(Autotune, EveryMemoReuseOnTheSuiteResimulatesIdentically) {
+  engine::ThreadPool pool(4);
+  const tune::TuneOptions opts;
+  const MachineModel m = MachineModel::issue(opts.issue);
+  const auto reused = [] {
+    for (const auto& [name, stat] : engine::MetricsRegistry::global().snapshot())
+      if (name == "tune.reused") return stat.count;
+    return std::uint64_t{0};
+  };
+  std::uint64_t repeats_total = 0;
+  for (const Workload& w : workload_suite()) {
+    const std::uint64_t reused_before = reused();
+    tune::LocalEvaluator eval(&pool);
+    const tune::TuneResult r = tune::autotune(w.source, opts, eval);
+    ASSERT_TRUE(r.ok) << w.name << ": " << r.error;
+
+    struct First {
+      RunOutcome run;
+      CycleProfile profile;
+    };
+    std::map<std::string, First> firsts;
+    std::uint64_t repeats = 0;
+    for (const tune::CandidateEval& e : r.evals) {
+      if (!e.simulated) continue;
+      auto c = try_compile_workload(w, e.config.level, m, tune::to_compile_options(e.config));
+      ASSERT_TRUE(c) << w.name << " " << e.config.name();
+      First now;
+      SimOptions so;
+      so.profile = &now.profile;
+      now.run = run_seeded(c->fn, m, std::move(so));
+      ASSERT_TRUE(now.run.result.ok) << w.name << " " << e.config.name();
+      const auto [it, fresh] = firsts.try_emplace(tune::program_key(c->fn, opts.issue));
+      if (fresh) {
+        it->second = std::move(now);
+        continue;
+      }
+      ++repeats;
+      const First& was = it->second;
+      EXPECT_EQ(describe(now.run.result), describe(was.run.result))
+          << w.name << " " << e.config.name();
+      EXPECT_EQ(now.profile.to_json(), was.profile.to_json())
+          << w.name << " " << e.config.name();
+      EXPECT_EQ(compare_observable(c->fn, was.run, now.run, 0.0), "")
+          << w.name << " " << e.config.name();
+    }
+    EXPECT_EQ(reused() - reused_before, repeats) << w.name;
+    repeats_total += repeats;
+  }
+  EXPECT_GT(repeats_total, 0u) << "the suite never repeats a program";
 }
 
 }  // namespace
